@@ -16,6 +16,12 @@ nodes), so the perf trajectory stays diffable across pull requests.
 ``engine_q1_pull`` deliberately stays pinned to the interpreting
 oracle: the ``engine_q1_compiled`` / ``engine_q1_pull`` ratio is the
 compiled kernel's speedup, and CI fails when it drops below 1.
+
+Each gated entry pins its lexer, projector and evaluator individually.
+Where that is a whole kernel tier over a bytes source the entry runs
+``GCXEngine``; otherwise — the str lexer, or a pairing no tier
+provides, such as the NFA projector under the generated evaluator —
+it runs :func:`_layered_run` over explicitly chosen components.
 """
 
 from __future__ import annotations
@@ -29,12 +35,15 @@ import pytest
 from repro.bench.harness import run_chunked
 from repro.bench.reporting import merge_bench_json, throughput_entry
 from repro.core.buffer import Buffer
-from repro.core.codegen import GeneratedStreamProjector
-from repro.core.engine import GCXEngine
+from repro.core.codegen import CodegenEvaluator
+from repro.core.engine import GCXEngine, RunResult
+from repro.core.evaluator import PullEvaluator
 from repro.core.matcher import PathDFA, PathMatcher
+from repro.core.program import CompiledEvaluator
 from repro.core.projector import CompiledStreamProjector, StreamProjector
 from repro.xmark.queries import ADAPTED_QUERIES
-from repro.xmlio.lexer import make_lexer, tokenize
+from repro.xmlio.lexer import XmlLexer, make_lexer, tokenize
+from repro.xmlio.writer import XmlWriter
 from repro.xpath.parser import parse_path
 
 _BENCH_JSON = os.path.join(
@@ -137,6 +146,31 @@ def _drain_fused(data: bytes, live: dict) -> tuple[int, int]:
             skipped += 1
         count += len(sink)
         sink.clear()
+
+
+def _layered_run(plan, source, make_projector, make_evaluator) -> RunResult:
+    """One pull run of *plan* over *source* through explicitly chosen
+    layers: ``make_projector(lexer, buffer)`` and
+    ``make_evaluator(projector, buffer, writer)``.  The lexer is
+    ``make_lexer(source)`` — the str lexer for str sources."""
+    buffer = Buffer()
+    buffer.stats.record_series = False
+    writer = XmlWriter()
+    projector = make_projector(make_lexer(source), buffer)
+    make_evaluator(projector, buffer, writer).run()
+    projector.run_to_end()
+    buffer.stats.final_buffered = buffer.live_count
+    return RunResult(writer.getvalue(), buffer.stats, plan)
+
+
+def _table_projector(plan):
+    return lambda lexer, buffer: CompiledStreamProjector(lexer, plan.dfa, buffer)
+
+
+def _vm(plan):
+    return lambda projector, buffer, writer: CompiledEvaluator(
+        plan.program, projector, buffer, writer
+    )
 
 
 def _filled(unit: bytes, size: int) -> bytes:
@@ -352,44 +386,6 @@ def test_projector_dfa_selective_path(benchmark, document):
     _record_benchmark(benchmark, run, "projector_dfa", len(document), 0)
 
 
-def test_projector_q1_codegen_throughput(benchmark, document):
-    """The generated projector kernel (DESIGN.md §12) against the
-    table-driven kernel it was generated from, on XMark Q1's real path
-    set over raw bytes.  This is the stage where specialization
-    shows, and the CI gate holds projector_q1_codegen against
-    projector_q1_tables, so both entries are recorded from one paired
-    interleaved loop (two sequentially-timed tests would hand the
-    gate numbers from different scheduler windows)."""
-    data = document.encode("utf-8")
-    engine = GCXEngine(record_series=False)
-    plan = engine.compile(ADAPTED_QUERIES["q1"].text)
-    assert plan.kernels is not None and plan.kernels.projector is not None
-
-    def run_tables():
-        buffer = Buffer()
-        buffer.stats.record_series = False
-        CompiledStreamProjector(make_lexer(data), plan.dfa, buffer).run_to_end()
-        return buffer.stats
-
-    def run_codegen():
-        buffer = Buffer()
-        buffer.stats.record_series = False
-        GeneratedStreamProjector(
-            plan.kernels.projector, make_lexer(data), plan.dfa, buffer
-        ).run_to_end()
-        return buffer.stats
-
-    stats = benchmark.pedantic(run_codegen, rounds=3, iterations=1)
-    reference = run_tables()
-    assert stats.tokens == reference.tokens
-    assert stats.watermark == reference.watermark
-    assert stats.subtrees_skipped == reference.subtrees_skipped
-
-    best_codegen, best_tables = _paired_best(run_codegen, run_tables)
-    _record("projector_q1_codegen", best_codegen, len(data), stats.watermark)
-    _record("projector_q1_tables", best_tables, len(data), reference.watermark)
-
-
 def test_projector_subtree_heavy_path(benchmark, document):
     """A subtree path buffers (and materializes) most of the document."""
     paths = [
@@ -409,35 +405,41 @@ def test_projector_subtree_heavy_path(benchmark, document):
 
 
 def test_engine_q1_throughput(benchmark, document):
-    """Pull mode through the interpreting NFA projector (the oracle) —
-    the fixed baseline the compiled kernel is gated against."""
-    engine = GCXEngine(record_series=False, compiled=False)
-    compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
+    """Pull mode through the interpreting NFA projector (the oracle)
+    over the str lexer, under the generated evaluator — the fixed
+    baseline the compiled kernel is gated against."""
+    plan = GCXEngine().compile(ADAPTED_QUERIES["q1"].text)
 
-    result = benchmark.pedantic(
-        lambda: engine.run(compiled, document), rounds=3, iterations=1
-    )
+    def run():
+        return _layered_run(
+            plan,
+            document,
+            lambda lexer, buffer: StreamProjector(lexer, plan.matcher, buffer),
+            lambda projector, buffer, writer: CodegenEvaluator(
+                plan.kernels.evaluator, plan.program, projector, buffer, writer
+            ),
+        )
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.stats.final_buffered == 0
     _record_benchmark(
-        benchmark,
-        lambda: engine.run(compiled, document),
-        "engine_q1_pull",
-        len(document),
-        result.stats.watermark,
+        benchmark, run, "engine_q1_pull", len(document), result.stats.watermark
     )
 
 
 def test_engine_q1_compiled_throughput(benchmark, document):
-    """Pull mode through the compiled lazy-DFA kernel, pinned to the
-    table-driven tier (``codegen=False``) so this entry stays the
-    baseline the generated kernels of DESIGN.md §12 are gated against."""
-    engine = GCXEngine(record_series=False, codegen=False)
-    compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
-    oracle = GCXEngine(record_series=False, compiled=False)
+    """Pull mode through the table-driven kernels (lazy-DFA projector
+    + operator-program VM) over the str lexer, so this entry stays the
+    baseline the generated kernels of DESIGN.md §12 are gated
+    against."""
+    plan = GCXEngine().compile(ADAPTED_QUERIES["q1"].text)
+    assert isinstance(make_lexer(document), XmlLexer)
+    oracle = GCXEngine(record_series=False, tier="interpreted")
 
-    result = benchmark.pedantic(
-        lambda: engine.run(compiled, document), rounds=3, iterations=1
-    )
+    def run():
+        return _layered_run(plan, document, _table_projector(plan), _vm(plan))
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.stats.final_buffered == 0
     # byte-identical to the oracle, not merely "passes its own tests"
     reference = oracle.run(oracle.compile(ADAPTED_QUERIES["q1"].text), document)
@@ -445,27 +447,23 @@ def test_engine_q1_compiled_throughput(benchmark, document):
     assert result.stats.watermark == reference.stats.watermark
     assert result.stats.tokens == reference.stats.tokens
     _record_benchmark(
-        benchmark,
-        lambda: engine.run(compiled, document),
-        "engine_q1_compiled",
-        len(document),
-        result.stats.watermark,
+        benchmark, run, "engine_q1_compiled", len(document), result.stats.watermark
     )
 
 
 def test_engine_q1_compiled_bytes_throughput(benchmark, document):
-    """The full bytes path (DESIGN.md §11): the same compiled kernels
+    """The full bytes path (DESIGN.md §11): the table-driven kernels
     fed raw UTF-8 bytes — what the server and the CLI actually stream —
     so the lexer scans the wire representation with no decode pass.
-    Byte-identical to the str-fed oracle.  Pinned to the table-driven
-    tier (``codegen=False``): this is the entry ``engine_q1_codegen``
-    is gated against — and when the codegen test also runs, it
+    Byte-identical to the interpreting oracle.  Pinned to the
+    ``"tables"`` tier: this is the entry ``engine_q1_codegen`` is
+    gated against — and when the codegen test also runs, it
     re-records this entry from a paired interleaved measurement so the
     gated ratio never compares two different thermal windows."""
     data = document.encode("utf-8")
-    engine = GCXEngine(record_series=False, codegen=False)
+    engine = GCXEngine(record_series=False, tier="tables")
     compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
-    oracle = GCXEngine(record_series=False, compiled=False, compiled_eval=False)
+    oracle = GCXEngine(record_series=False, tier="interpreted")
 
     result = benchmark.pedantic(
         lambda: engine.run(compiled, data), rounds=3, iterations=1
@@ -486,8 +484,8 @@ def test_engine_q1_compiled_bytes_throughput(benchmark, document):
 
 def test_engine_q1_codegen_throughput(benchmark, document):
     """The per-plan generated-code kernels (DESIGN.md §12) at the
-    engine's default tier — which, for bytes input, now includes the
-    fused batch-scan lexer front-end of DESIGN.md §15: the same bytes
+    engine's default tier — the fused batch-scan lexer front-end of
+    DESIGN.md §15 under the generated evaluator: the same bytes
     workload as ``engine_q1_compiled_bytes``, run through the
     exec-compiled specializations instead of the table-driven
     interpreters they were generated from.  Byte-identical
@@ -503,8 +501,8 @@ def test_engine_q1_codegen_throughput(benchmark, document):
     engine = GCXEngine(record_series=False)
     compiled = engine.compile(ADAPTED_QUERIES["q1"].text)
     assert compiled.kernels is not None
-    assert compiled.kernels.projector is not None
-    oracle = GCXEngine(record_series=False, codegen=False)
+    assert compiled.kernels.lexer is not None
+    oracle = GCXEngine(record_series=False, tier="tables")
     table_plan = oracle.compile(ADAPTED_QUERIES["q1"].text)
 
     result = benchmark.pedantic(
@@ -527,58 +525,58 @@ def test_engine_q1_codegen_throughput(benchmark, document):
 
 
 def test_evaluator_interp_throughput(benchmark, document):
-    """Evaluator isolation, interpreting side: the compiled DFA
-    projector feeds the AST-walking PullEvaluator — the fixed oracle
-    baseline the operator-program VM is gated against.  XMark Q8 (the
-    value join) is the evaluator-bound workload: its nested loops and
-    comparisons over the buffer are pure evaluation work, so the
-    evaluator pair measures the evaluation kernel, not the projector."""
-    engine = GCXEngine(record_series=False, compiled_eval=False)
-    compiled = engine.compile(ADAPTED_QUERIES["q8"].text)
+    """Evaluator isolation, interpreting side: the table-driven DFA
+    projector over the str lexer feeds the AST-walking PullEvaluator —
+    the fixed oracle baseline the operator-program VM is gated
+    against.  XMark Q8 (the value join) is the evaluator-bound
+    workload: its nested loops and comparisons over the buffer are
+    pure evaluation work, so the evaluator pair measures the
+    evaluation kernel, not the projector."""
+    plan = GCXEngine().compile(ADAPTED_QUERIES["q8"].text)
 
-    result = benchmark.pedantic(
-        lambda: engine.run(compiled, document), rounds=3, iterations=1
-    )
+    def run():
+        return _layered_run(
+            plan,
+            document,
+            _table_projector(plan),
+            lambda projector, buffer, writer: PullEvaluator(
+                plan.rewritten, projector, buffer, writer
+            ),
+        )
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.stats.watermark > 0
     _record_benchmark(
-        benchmark,
-        lambda: engine.run(compiled, document),
-        "evaluator_interp",
-        len(document),
-        result.stats.watermark,
+        benchmark, run, "evaluator_interp", len(document), result.stats.watermark
     )
 
 
 def test_evaluator_vm_throughput(benchmark, document):
-    """Evaluator isolation, compiled side: the same DFA projector
-    feeds the operator-program VM, pinned to the table-driven tier
-    (``codegen=False``), so the difference to ``evaluator_interp`` is
-    purely the evaluation kernel, not the generated code of §12."""
-    engine = GCXEngine(record_series=False, codegen=False)
-    compiled = engine.compile(ADAPTED_QUERIES["q8"].text)
-    assert compiled.program is not None
-    oracle = GCXEngine(record_series=False, compiled_eval=False)
+    """Evaluator isolation, compiled side: the same table projector
+    over the same str lexer feeds the operator-program VM, so the
+    difference to ``evaluator_interp`` is purely the evaluation
+    kernel."""
+    plan = GCXEngine().compile(ADAPTED_QUERIES["q8"].text)
+    assert plan.program is not None
+    oracle = GCXEngine(record_series=False, tier="interpreted")
 
-    result = benchmark.pedantic(
-        lambda: engine.run(compiled, document), rounds=3, iterations=1
-    )
+    def run():
+        return _layered_run(plan, document, _table_projector(plan), _vm(plan))
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
     # byte-identical to the oracle, not merely "passes its own tests"
     reference = oracle.run(oracle.compile(ADAPTED_QUERIES["q8"].text), document)
     assert result.output == reference.output
     assert result.stats.watermark == reference.stats.watermark
     assert result.stats.tokens == reference.stats.tokens
     _record_benchmark(
-        benchmark,
-        lambda: engine.run(compiled, document),
-        "evaluator_vm",
-        len(document),
-        result.stats.watermark,
+        benchmark, run, "evaluator_vm", len(document), result.stats.watermark
     )
 
 
 def test_session_q1_throughput(benchmark, document):
     """Push mode: the same workload fed chunk-wise through a session.
-    Runs the default (codegen) tier — what the server actually serves."""
+    Runs the default (generated) tier — what the server actually serves."""
     engine = GCXEngine(record_series=False)
     plan = engine.compile(ADAPTED_QUERIES["q1"].text)
 

@@ -8,21 +8,22 @@ consecutive rows approximate each layer's own cost:
 
 * ``lexer_str``      — str event fast path (the oracle scanner)
 * ``lexer_bytes``    — bytes-domain event fast path (DESIGN.md §11)
-* ``projector``      — compiled DFA projector over the bytes lexer
+* ``projector:TIER`` — the tier's projector over the bytes lexer
   (XMark Q1's path set: mostly ``skip_subtree``)
-* ``engine``         — full compiled run (projector + VM + writer),
-  bytes input
-* ``engine_str``     — the same over str input (what the engine paid
-  before the bytes path, minus the wire decode it also needed)
+* ``engine:TIER``    — full run at the tier (projector + evaluator +
+  writer), bytes input
+* ``engine_str``     — the last tier's run over str input, which
+  ``GCXEngine.run`` encodes once at the edge (DESIGN.md §11)
 
-``--kernel`` selects which kernel tier the projector/engine stages
-run: the table-driven interpreters (``tables``), the per-plan
-generated code of DESIGN.md §12 with the per-event lexer pull
-(``codegen``), the fused batch-scan lexer front-end of DESIGN.md §15
-(``fused``), or — the default — ``both``, which emits one row per
-variant (``projector:tables`` next to ``projector:codegen`` and
-``projector:fused``) so each tier's margin is itself a per-stage
-attribution.
+``--kernel`` selects which kernel tier (:mod:`repro.core.pipeline`)
+the projector/engine stages run: the table-driven kernels
+(``tables``), the generated kernels — the fused batch-scan lexer
+front-end of DESIGN.md §15 under the generated evaluator of §12
+(``generated``) — or, the default, ``both``, which emits one row per
+tier (``projector:tables`` next to ``projector:generated``) so each
+tier's margin is itself a per-stage attribution.  Stage names always
+carry the tier suffix, so ``--cprofile engine:generated`` works with
+``--kernel generated`` as well as with ``both``.
 
 A second table attributes the lexer's *own* cost per routine —
 markup dispatch, text scanning, entity resolution, and chunked-input
@@ -35,7 +36,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/profile_stages.py
     PYTHONPATH=src python benchmarks/profile_stages.py --scale 16 \
-        --kernel codegen --cprofile engine:codegen --top 15
+        --kernel generated --cprofile engine:generated --top 15
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ import time
 
 from repro.bench.reporting import format_table
 from repro.core.buffer import Buffer
-from repro.core.codegen import GeneratedStreamProjector
 from repro.core.engine import GCXEngine
-from repro.core.projector import CompiledStreamProjector
+from repro.core.pipeline import build_pipeline
 from repro.xmark.generator import generate_document
 from repro.xmark.queries import ADAPTED_QUERIES
 from repro.xmlio import cscan
 from repro.xmlio.lexer import make_lexer
+from repro.xmlio.writer import XmlWriter
 
 
 def _drain_events(source):
@@ -123,29 +124,23 @@ def build_lexer_stages(size: int) -> list:
 def build_stages(scale: float, query_key: str, kernel: str = "both"):
     """Return ``(document_bytes, [(stage, callable), ...])``.
 
-    *kernel* is ``tables``, ``codegen`` or ``both``; the projector and
+    *kernel* is ``tables``, ``generated`` or ``both``; the projector and
     engine stages appear once per selected kernel tier, suffixed with
-    the tier name when more than one is selected.
+    the tier name (``engine:generated``).
     """
     document = generate_document(scale=scale, seed=42)
     data = document.encode("utf-8")
-    variants = ("tables", "codegen", "fused") if kernel == "both" else (kernel,)
+    tiers = ("tables", "generated") if kernel == "both" else (kernel,)
 
-    def projector_only(plan, variant):
+    def projector_only(plan, tier):
         def run():
             buffer = Buffer()
             buffer.stats.record_series = False
-            lexer = make_lexer(data)
-            if variant == "fused":
-                GeneratedStreamProjector(
-                    plan.kernels.lexer, lexer, plan.dfa, buffer
-                ).run_to_end()
-            elif variant == "codegen":
-                GeneratedStreamProjector(
-                    plan.kernels.projector, lexer, plan.dfa, buffer
-                ).run_to_end()
-            else:
-                CompiledStreamProjector(lexer, plan.dfa, buffer).run_to_end()
+            projector, _evaluator = build_pipeline(
+                plan, make_lexer(data), buffer, XmlWriter(),
+                tier=tier, gc_enabled=True,
+            )
+            projector.run_to_end()
             return buffer.stats.tokens
 
         return run
@@ -154,41 +149,17 @@ def build_stages(scale: float, query_key: str, kernel: str = "both"):
         ("lexer_str", lambda: _drain_events(document)),
         ("lexer_bytes", lambda: _drain_events(data)),
     ]
-    suffix = (lambda name, v: f"{name}:{v}") if len(variants) > 1 else (
-        lambda name, _v: name
-    )
-    for variant in variants:
-        use_codegen = variant != "tables"
-        engine = GCXEngine(
-            record_series=False,
-            codegen=use_codegen,
-            fused_lexer=variant == "fused",
-        )
+    for tier in tiers:
+        engine = GCXEngine(record_series=False, tier=tier)
         plan = engine.compile(ADAPTED_QUERIES[query_key].text)
-        if variant == "codegen" and (
-            plan.kernels is None or plan.kernels.projector is None
-        ):
-            raise SystemExit(
-                f"query {query_key} has no generated projector kernel"
-            )
-        if variant == "fused" and (
-            plan.kernels is None or plan.kernels.lexer is None
-        ):
-            if kernel == "fused":
-                raise SystemExit(
-                    f"query {query_key} has no fused lexer kernel"
-                )
-            continue  # plan declined fusion; skip the tier's rows
-        stages.append(
-            (suffix("projector", variant), projector_only(plan, variant))
-        )
+        stages.append((f"projector:{tier}", projector_only(plan, tier)))
         stages.append(
             (
-                suffix("engine", variant),
+                f"engine:{tier}",
                 lambda engine=engine, plan=plan: engine.run(plan, data),
             )
         )
-    # the str-input engine row attributes the wire-decode cost, one
+    # the str-input engine row attributes the edge-encode cost, one
     # tier is enough: use the last configured engine
     stages.append(
         ("engine_str", lambda engine=engine, plan=plan: engine.run(plan, document))
@@ -213,11 +184,11 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--kernel",
         default="both",
-        choices=("tables", "codegen", "fused", "both"),
+        choices=("tables", "generated", "both"),
         help="kernel tier for the projector/engine stages: the "
-        "table-driven interpreters, the generated per-plan code with "
-        "per-event lexing, the fused batch-scan lexer front-end, or "
-        "one row per tier (default)",
+        "table-driven kernels, the generated kernels (fused batch-scan "
+        "lexer front-end + generated evaluator), or one row per tier "
+        "(default)",
     )
     parser.add_argument(
         "--cprofile",

@@ -30,6 +30,7 @@ from __future__ import annotations
 from repro.core.codegen import generate_plan_kernels
 from repro.core.engine import CompiledQuery, GCXEngine, _try_compile_program
 from repro.core.matcher import PathDFA, PathMatcher
+from repro.core.pipeline import DEFAULT_TIER
 from repro.core.signoff import insert_signoffs
 from repro.core.analysis import analyze_query
 from repro.xmlio.dtd import Dtd
@@ -98,10 +99,7 @@ class FluxLikeEngine(GCXEngine):
         dtd: Dtd | None = None,
         record_series: bool = True,
         drain: bool = True,
-        compiled: bool = True,
-        compiled_eval: bool = True,
-        codegen: bool = True,
-        fused_lexer: bool = True,
+        tier: str = DEFAULT_TIER,
     ):
         # Schema knowledge enables the scope-based release; without a
         # DTD the engine cannot prove any scope complete and keeps the
@@ -111,10 +109,7 @@ class FluxLikeEngine(GCXEngine):
             first_witness=True,
             record_series=record_series,
             drain=drain,
-            compiled=compiled,
-            compiled_eval=compiled_eval,
-            codegen=codegen,
-            fused_lexer=fused_lexer,
+            tier=tier,
         )
         self.dtd = dtd
 

@@ -17,6 +17,7 @@ buffer minimization.
 from __future__ import annotations
 
 from repro.core.engine import GCXEngine
+from repro.core.pipeline import DEFAULT_TIER
 
 
 class ProjectionOnlyEngine(GCXEngine):
@@ -29,18 +30,12 @@ class ProjectionOnlyEngine(GCXEngine):
         first_witness: bool = True,
         record_series: bool = True,
         drain: bool = True,
-        compiled: bool = True,
-        compiled_eval: bool = True,
-        codegen: bool = True,
-        fused_lexer: bool = True,
+        tier: str = DEFAULT_TIER,
     ):
         super().__init__(
             gc_enabled=False,
             first_witness=first_witness,
             record_series=record_series,
             drain=drain,
-            compiled=compiled,
-            compiled_eval=compiled_eval,
-            codegen=codegen,
-            fused_lexer=fused_lexer,
+            tier=tier,
         )

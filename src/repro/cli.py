@@ -4,8 +4,9 @@ profile buffer behaviour, generate workloads.
 Subcommands::
 
     gcx run QUERY.xq INPUT.xml [--engine gcx] [--stats] [--chunk-size N]
-            [--interpreted] [--no-codegen] [--no-fused-lexer]
+            [--tier generated|tables|interpreted]
     gcx multiplex INPUT.xml -q Q1.xq -q Q2.xq ... [--stats]
+            [--tier generated|tables|interpreted]
     gcx explain QUERY.xq
     gcx profile QUERY.xq INPUT.xml [--width 72] [--height 16]
     gcx xmark --scale 1.0 [--seed 42]
@@ -60,6 +61,7 @@ from repro.baselines import (
 from repro.bench.reporting import ascii_plot
 from repro.core.engine import DEFAULT_CHUNK_SIZE, GCXEngine, _file_chunks
 from repro.core.evaluator import EvaluationError
+from repro.core.pipeline import DEFAULT_TIER, TIERS
 from repro.core.session import SessionStateError
 from repro.xmark.generator import XMARK_DTD, generate_document
 from repro.server.protocol import DEFAULT_PORT
@@ -80,35 +82,21 @@ _CLI_ERRORS = (
 )
 
 
-def _make_engine(
-    name: str,
-    interpreted: bool = False,
-    codegen: bool = True,
-    fused_lexer: bool = True,
-):
-    """Build the chosen engine; *interpreted* selects the oracle pair
-    ``compiled=False, compiled_eval=False`` (interpreting NFA projector
-    + interpreting pull evaluator) on the GCX-family engines for A/B
-    runs against the compiled kernels — it bypasses the generated-code
-    kernels with them.  *codegen* = False keeps the compiled table
-    kernels but disables the per-plan generated code (DESIGN.md §12);
-    *fused_lexer* = False keeps the generated kernels but feeds them
-    per-event instead of through the fused batch lexer front-end
-    (DESIGN.md §15).  The DOM baseline has none of these tiers, so the
-    flags are no-ops there."""
-    toggles = (
-        {"compiled": False, "compiled_eval": False}
-        if interpreted
-        else {"codegen": codegen, "fused_lexer": fused_lexer}
-    )
+def _make_engine(name: str, tier: str = DEFAULT_TIER):
+    """Build the chosen engine; *tier* picks the kernel tier of the
+    GCX-family engines (:mod:`repro.core.pipeline`): the generated
+    kernels, the table-driven kernels they were generated from, or the
+    interpreting oracles, for A/B runs — output is byte-identical at
+    every tier.  The DOM baseline has no tiers, so *tier* is a no-op
+    there."""
     if name == "gcx":
-        return GCXEngine(**toggles)
+        return GCXEngine(tier=tier)
     if name == "dom":
         return FullDomEngine()
     if name == "projection":
-        return ProjectionOnlyEngine(**toggles)
+        return ProjectionOnlyEngine(tier=tier)
     if name == "flux":
-        return FluxLikeEngine(dtd=parse_dtd(XMARK_DTD), **toggles)
+        return FluxLikeEngine(dtd=parse_dtd(XMARK_DTD), tier=tier)
     raise ValueError(f"unknown engine {name!r}")
 
 
@@ -138,12 +126,7 @@ def _evaluate(engine, query_text, input_path, chunk_size, output_stream=None):
 
 
 def _cmd_run(args) -> int:
-    engine = _make_engine(
-        args.engine,
-        interpreted=args.interpreted,
-        codegen=args.codegen,
-        fused_lexer=args.fused_lexer,
-    )
+    engine = _make_engine(args.engine, tier=args.tier)
     # GCX-family sessions emit results incrementally to stdout; the
     # DOM baseline has no streaming output, so its result is printed
     # after the fact.
@@ -159,7 +142,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_multiplex(args) -> int:
     """N queries, one document, one shared lex+project pass."""
-    engine = _make_engine("gcx", codegen=args.codegen)
+    engine = _make_engine("gcx", tier=args.tier)
     shared = engine.shared_session()
     subscribers = [
         (path, shared.subscribe(engine.compile(_read(path))))
@@ -360,6 +343,18 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _add_tier_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--tier",
+        choices=TIERS,
+        default=DEFAULT_TIER,
+        help="kernel tier: the per-plan generated kernels (default), "
+        "the table-driven kernels they were generated from, or the "
+        "interpreting oracles (NFA projector + pull evaluator), for "
+        "A/B runs; output is byte-identical",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcx",
@@ -377,29 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine to use",
     )
     run.add_argument("--stats", action="store_true", help="print run statistics")
-    run.add_argument(
-        "--interpreted",
-        action="store_true",
-        help="run the interpreting oracles (NFA projector + pull "
-        "evaluator) instead of the compiled kernels, for A/B runs; "
-        "output is byte-identical",
-    )
-    run.add_argument(
-        "--no-codegen",
-        dest="codegen",
-        action="store_false",
-        help="keep the compiled table kernels but disable the per-plan "
-        "generated-code kernels, for A/B runs; output is byte-identical "
-        "(--interpreted bypasses codegen implicitly)",
-    )
-    run.add_argument(
-        "--no-fused-lexer",
-        dest="fused_lexer",
-        action="store_false",
-        help="keep the generated kernels but feed the projector "
-        "per-event instead of through the fused batch lexer front-end, "
-        "for A/B runs; output is byte-identical",
-    )
+    _add_tier_argument(run)
     run.add_argument(
         "--chunk-size",
         type=int,
@@ -425,12 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-query and stream statistics to stderr",
     )
-    multiplex.add_argument(
-        "--no-codegen",
-        dest="codegen",
-        action="store_false",
-        help="disable the per-plan generated-code kernels, for A/B runs",
-    )
+    _add_tier_argument(multiplex)
     multiplex.add_argument(
         "--chunk-size",
         type=int,

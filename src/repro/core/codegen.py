@@ -3,30 +3,16 @@
 PRs 3-5 compiled the pipeline into *table-driven* interpreters: the
 projector walks a memoized lazy-DFA table and the evaluator dispatches
 a flat operator program.  Both still pay, on every single token, for
-work that is **constant for a given plan** — the memo-dict lookup and
-entry unpacking in the projector, the opcode fetch/decode loop in the
-VM.  This module removes that residue by *generating Python source*
-specialized to one plan, ``compile()``/``exec()``-ing it exactly once
-at plan-compile time, and caching the resulting kernels on the
+work that is **constant for a given plan** — the opcode fetch/decode
+loop in the VM, the per-event lexer pull in the projector.  This
+module removes that residue by *generating Python source* specialized
+to one plan, ``compile()``/``exec()``-ing it exactly once at
+plan-compile time, and caching the resulting kernels on the
 :class:`~repro.core.plan.QueryPlan` next to ``dfa``/``program`` (so
 the plan cache's single-flight and eviction rules cover them for
 free).  The idea is the classic grammar→generated-parser move (cf. the
 generated XPath parser in twisted's ``xpathparser.g``), applied to the
 paper's compile-once/stream-many architecture.
-
-**Kernel A — the projector** (:func:`generate_projector_kernel`): the
-plan's projection paths mention a closed set of tag names, so the DFA
-reachable over those tags is finite and computable at generation time.
-The generator pre-warms the shared :class:`~repro.core.matcher.PathDFA`
-memo over exactly that tag set and emits an ``advance()`` closure whose
-state dispatch is an if/elif chain over the warmed states with every
-transition — child state, parent adjustment, role counts, and crucially
-the *skip-subtree decision* — baked in as constants.  Unseen
-``(state, tag)`` pairs fall through to the shared memo dicts (and the
-lazy NFA derivation on a memo miss), so the generated code stays valid
-as the memo grows at runtime: baked constants never change because memo
-entries are derived deterministically from the immutable path set and
-are append-only (DESIGN.md §9's logical-immutability argument).
 
 **Kernel B — the evaluator** (:func:`generate_evaluator_kernel`): the
 flat op tuple of :class:`~repro.core.program.OperatorProgram` came out
@@ -42,9 +28,9 @@ frame allocation disappear; semantics cannot drift because the
 primitives are shared.
 
 **Kernel C — the fused lexer front-end**
-(:func:`generate_lexer_kernel`): the deepest fusion of the ladder.
-Kernels A and B still pull one event per token through the lexer's
-per-event scan; Kernel C instead feeds the projector from
+(:func:`generate_lexer_kernel`): instead of pulling one event per
+token through the lexer's per-event scan, the generated projector
+loop is fed from
 :meth:`~repro.xmlio.lexer_bytes.ByteXmlLexer.project_into` — the
 lexer's batch loop (C-accelerated when available) with the plan's
 closed tag alphabet fused into the scan, so a start tag whose name
@@ -53,12 +39,13 @@ tokenized* and is consumed by one bulk ``skip_subtree``.  Generation
 certifies the alphabet against the oracle NFA (a sentinel tag must be
 dead, role-free and parent-neutral in every reachable state) and
 declines plans with wildcard/``node()`` element tests or descendant
-self-loops, whose skips cannot be decided by name alone.
+self-loops at the root, whose skips cannot be decided by name alone.
 
 All kernels are *optional tiers*: any generation failure (or a plan
-shape outside the generator's reach) yields ``None`` and the engine
-silently runs the table-driven kernels instead — the fallback ladder
-is codegen → tables → interpreter, each level a byte-identical oracle
+shape outside the generator's reach) yields ``None`` and the pipeline
+factory (:mod:`repro.core.pipeline`) silently runs the table-driven
+kernel for that side instead — the fallback ladder is generated
+(C + B) → tables → interpreters, each level a byte-identical oracle
 for the one above (enforced by the differential suites).
 
 This module is the **only** place in the repository allowed to call
@@ -101,18 +88,16 @@ __all__ = [
     "GeneratedStreamProjector",
     "LexerKernel",
     "PlanKernels",
-    "ProjectorKernel",
     "generate_evaluator_kernel",
     "generate_lexer_kernel",
     "generate_plan_kernels",
-    "generate_projector_kernel",
 ]
 
-#: Baked dispatch stays readable (and the if/elif chains short) only
-#: while the warmed state space is small; plans whose projection paths
-#: reach more states than this keep the warmed memo but dispatch every
-#: state through the generic fall-through branch.
-MAX_BAKED_STATES = 48
+#: Kernel C's certificate enumerates the DFA states reachable over the
+#: plan's tag alphabet; plans whose closure exceeds this many states
+#: (deep descendant interleavings) keep the fusion but not the
+#: certificate.
+MAX_CERTIFIED_STATES = 192
 
 
 class CodegenError(Exception):
@@ -123,26 +108,6 @@ class CodegenError(Exception):
 # ---------------------------------------------------------------------------
 # kernel containers
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectorKernel:
-    """One generated projector ``advance`` loop, plan-owned.
-
-    ``factory(projector) -> (advance, run_to_end)`` binds the generated
-    closure to one session's mutable runtime state; ``source`` is the
-    exact text that was compiled (observability: the server STATS frame
-    reports the footprint, and the differential tests print it on
-    mismatch).  The kernel is only valid against ``dfa`` — the memo
-    dicts and transition constants of that specific object are baked
-    into the source.
-    """
-
-    factory: object
-    source: str
-    dfa: PathDFA
-    baked_states: int
-    baked_transitions: int
 
 
 @dataclass(frozen=True)
@@ -163,10 +128,12 @@ class EvaluatorKernel:
 class LexerKernel:
     """One generated fused lexer front-end (Kernel C), plan-owned.
 
-    The factory has the same ``factory(projector) -> (advance,
-    run_to_end)`` shape as :class:`ProjectorKernel`, so it binds
-    through the same :class:`GeneratedStreamProjector`; the difference
-    is *input*: instead of pulling one event per ``advance()`` through
+    ``factory(projector) -> (advance, run_to_end)`` binds the generated
+    closure to one stream's mutable runtime state through
+    :class:`GeneratedStreamProjector`; ``source`` is the exact text that
+    was compiled (the server STATS frame reports the footprint).  The
+    kernel is only valid against ``dfa``, whose memo dicts it binds.
+    Instead of pulling one event per ``advance()`` through
     ``next_event``, the generated loop batch-tokenizes through
     :meth:`~repro.xmlio.lexer_bytes.ByteXmlLexer.project_into` with the
     plan's closed tag alphabet (``live_tags``) fused into the scan —
@@ -193,27 +160,20 @@ class LexerKernel:
 
 @dataclass(frozen=True)
 class PlanKernels:
-    """The generated kernels of one plan (any side may be ``None``
-    when generation declined; the engine then uses the table kernel for
-    that side)."""
+    """The generated kernels of one plan (either side may be ``None``
+    when generation declined; the pipeline factory then uses the table
+    kernel for that side)."""
 
-    projector: ProjectorKernel | None
     evaluator: EvaluatorKernel | None
-    lexer: "LexerKernel | None" = None
+    lexer: LexerKernel | None = None
 
     @property
     def kernel_count(self) -> int:
-        return (
-            (self.projector is not None)
-            + (self.evaluator is not None)
-            + (self.lexer is not None)
-        )
+        return (self.evaluator is not None) + (self.lexer is not None)
 
     @property
     def source_chars(self) -> int:
         total = 0
-        if self.projector is not None:
-            total += len(self.projector.source)
         if self.evaluator is not None:
             total += len(self.evaluator.source)
         if self.lexer is not None:
@@ -281,13 +241,13 @@ def _compile_namespace(source: str, filename: str, namespace: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Kernel A: the generated projector
+# Kernel C: the generated fused lexer front-end
 # ---------------------------------------------------------------------------
 
 
 def _projection_tags(analysis) -> list[str]:
     """All tag names the plan's projection paths can ever match by
-    name — the closed tag alphabet the DFA is pre-warmed over."""
+    name — the closed tag alphabet fused into the batch scan."""
     tags: set[str] = set()
     for role in getattr(analysis, "roles", ()):
         path = getattr(role, "path", None)
@@ -300,328 +260,15 @@ def _projection_tags(analysis) -> list[str]:
     return sorted(tags)
 
 
-def _warm_dfa(dfa: PathDFA, tags: list[str]) -> list[int]:
-    """Drive the lazy DFA over every warmed ``(state, tag)`` pair until
-    closure; returns the live states reachable over the tag alphabet
-    (document order of discovery, start state first)."""
-    seen: list[int] = [dfa.start]
-    seen_set = {dfa.start, PathDFA.dead}
-    index = 0
-    while index < len(seen):
-        state = seen[index]
-        index += 1
-        dfa.text(state)
-        for tag in tags:
-            child, parent, _counts = dfa.element(state, tag)
-            for nxt in (child, parent):
-                if nxt not in seen_set:
-                    seen_set.add(nxt)
-                    seen.append(nxt)
-        if len(seen) > 4 * MAX_BAKED_STATES:
-            # Pathological closure (deep descendant interleavings):
-            # keep the memo warm but stop enumerating; dispatch will be
-            # generic for the tail.
-            break
-    return seen
-
-
-_PROJ_STATS_LINES = (
-    "stats.tokens += 1",
-    "lc = buffer.live_count",
-    "if lc > stats.watermark:",
-    "    stats.watermark = lc",
-    "if stats.record_series:",
-    "    series.append(lc)",
-)
-
-_PROJ_SKIP_LINES = (
-    "cnt = skip_subtree()",
-    "if cnt > 0:",
-    "    stats.tokens += cnt",
-    "    lc = buffer.live_count",
-    "    if lc > stats.watermark:",
-    "        stats.watermark = lc",
-    "    if stats.record_series:",
-    "        series.extend([lc] * cnt)",
-)
-
-
-def _emit_baked_start(w: _SourceWriter, d: int, state: int, entry: tuple,
-                      consts: _Constants) -> None:
-    """The start-event body for one baked transition: every decision —
-    parent adjustment, materialization, skip-vs-descend — resolved at
-    generation time."""
-    child, parent, counts = entry
-    if parent != state:
-        w.line(d, f"states[-1] = {parent}")
-    if counts is None and not child:
-        # The hottest path of a selective plan: a fully irrelevant
-        # subtree.  One fused skip, single live-count read (no buffer
-        # mutation can happen in between).
-        w.lines(d, (
-            "stats.tokens += 1",
-            "stats.subtrees_skipped += 1",
-            "cnt = skip_subtree()",
-            "stats.tokens += cnt",
-            "lc = buffer.live_count",
-            "if lc > stats.watermark:",
-            "    stats.watermark = lc",
-            "if stats.record_series:",
-            "    series.append(lc)",
-            "    if cnt > 0:",
-            "        series.extend([lc] * cnt)",
-            "return True",
-        ))
-        return
-    if counts is not None:
-        counts_name = consts.name_for(counts)
-        w.lines(d, (
-            "top = len(nodes) - 1",
-            "pnode = nodes[top]",
-            "if pnode is None:",
-            "    pnode = materialize(top)",
-            "node = new_element(pnode, name, event[2])",
-            f"add_roles(node, {counts_name})",
-        ))
-    w.lines(d, _PROJ_STATS_LINES)
-    if child:
-        w.lines(d, (
-            "tags_append(name)",
-            "attrs_append(event[2])",
-            f"states_append({child})",
-            "nodes_append(node)" if counts is not None else "nodes_append(None)",
-        ))
-    else:
-        # counts is not None here (the None case returned above): a
-        # buffered leaf whose content cannot match — skipped but not
-        # counted as an irrelevant subtree, and closed afterwards.
-        w.lines(d, _PROJ_SKIP_LINES)
-        w.line(d, "close(node)")
-    w.line(d, "return True")
-
-
-def _emit_baked_text(w: _SourceWriter, d: int, state: int, entry: tuple,
-                     consts: _Constants) -> None:
-    """The text-event body for one baked state."""
-    counts, parent = entry
-    if counts is not None:
-        counts_name = consts.name_for(counts)
-        w.lines(d, (
-            "top = len(states) - 1",
-            "pnode = nodes[top]",
-            "if pnode is None:",
-            "    pnode = materialize(top)",
-            "node = new_text(pnode, event[3])",
-            f"add_roles(node, {counts_name})",
-        ))
-    if parent != state:
-        w.line(d, f"states[-1] = {parent}")
-    w.lines(d, _PROJ_STATS_LINES)
-    w.line(d, "return True")
-
-
-def generate_projector_kernel(dfa: PathDFA, analysis) -> ProjectorKernel:
-    """Generate, compile and return Kernel A for one plan.
-
-    Raises:
-        CodegenError: the DFA/analysis shape cannot be specialized.
-    """
-    if dfa is None:
-        raise CodegenError("plan has no DFA")
-    tags = _projection_tags(analysis)
-    warm = _warm_dfa(dfa, tags)
-    baked_states = [s for s in warm if s != PathDFA.dead][:MAX_BAKED_STATES]
-    consts = _Constants("K")
-    # Snapshot the warmed transitions now: entries added later (unseen
-    # document tags) are served by the fall-through memo lookup.  The
-    # snapshot is taken per state *before* emission so the baked chain
-    # and the bound memo dict can never disagree.
-    element_snapshot = {s: sorted(dfa._element_memo[s].items()) for s in baked_states}
-    text_snapshot = {s: dfa._text_memo[s] for s in baked_states}
-    baked_transitions = sum(len(v) for v in element_snapshot.values())
-
-    w = _SourceWriter()
-    w.lines(0, (
-        "def make_advance(P):",
-        "    lexer = P._lexer",
-        "    next_event = lexer.next_event",
-        "    skip_subtree = lexer.skip_subtree",
-        "    buffer = P._buffer",
-        "    stats = P._stats",
-        "    series = stats.series",
-        "    new_element = buffer.new_element",
-        "    new_text = buffer.new_text",
-        "    add_roles = buffer.add_roles",
-        "    close = buffer.close",
-        "    compute_element = DFA.compute_element",
-        "    compute_text = DFA.text",
-        "    tags = P._tags",
-        "    attrs = P._attrs",
-        "    states = P._states",
-        "    nodes = P._nodes",
-        "    tags_append = tags.append",
-        "    attrs_append = attrs.append",
-        "    states_append = states.append",
-        "    nodes_append = nodes.append",
-        "    tags_pop = tags.pop",
-        "    attrs_pop = attrs.pop",
-        "    states_pop = states.pop",
-        "    nodes_pop = nodes.pop",
-        "",
-        "    def materialize(index):",
-        "        depth = index",
-        "        while nodes[depth] is None:",
-        "            depth -= 1",
-        "        while depth < index:",
-        "            depth += 1",
-        "            nodes[depth] = new_element(nodes[depth - 1], tags[depth], attrs[depth])",
-        "        return nodes[index]",
-        "",
-        "    def advance():",
-        "        if P.exhausted:",
-        "            return False",
-        "        event = next_event()",
-        "        if event is None:",
-        "            P.exhausted = True",
-        "            close(buffer.root)",
-        "            return False",
-        "        kind = event[0]",
-        "        if kind == 0:",
-        "            name = event[1]",
-        "            state = states[-1]",
-    ))
-    # -- start events: baked per-state/tag chains, generic fall-through
-    d = 3  # inside `if kind == 0:`
-    keyword = "if"
-    for state in baked_states:
-        transitions = element_snapshot[state]
-        w.line(d, f"{keyword} state == {state}:")
-        keyword = "elif"
-        inner = "if"
-        for tag, entry in transitions:
-            w.line(d + 1, f"{inner} name == {tag!r}:")
-            inner = "elif"
-            # The end-tag scan of the bytes lexer does not intern, so
-            # tags compare by value (==), never identity.
-            _emit_baked_start(w, d + 2, state, entry, consts)
-        memo_name = consts.name_for(dfa._element_memo[state])
-        if inner == "if":  # no transitions baked for this state
-            w.line(d + 1, f"entry = {memo_name}.get(name)")
-        else:
-            w.line(d + 1, "else:")
-            w.line(d + 2, f"entry = {memo_name}.get(name)")
-    if keyword == "if":  # no baked states at all
-        w.line(d, "entry = EM[state].get(name)")
-    else:
-        w.line(d, "else:")
-        w.line(d + 1, "entry = EM[state].get(name)")
-    w.lines(d, (
-        "if entry is None:",
-        "    entry = compute_element(state, name)",
-        "child, parent, counts = entry",
-        "if parent != state:",
-        "    states[-1] = parent",
-        "if counts is not None:",
-        "    top = len(nodes) - 1",
-        "    pnode = nodes[top]",
-        "    if pnode is None:",
-        "        pnode = materialize(top)",
-        "    node = new_element(pnode, name, event[2])",
-        "    add_roles(node, counts)",
-        "else:",
-        "    node = None",
-    ))
-    w.lines(d, _PROJ_STATS_LINES)
-    w.lines(d, (
-        "if child:",
-        "    tags_append(name)",
-        "    attrs_append(event[2])",
-        "    states_append(child)",
-        "    nodes_append(node)",
-        "else:",
-        "    if node is None:",
-        "        stats.subtrees_skipped += 1",
-    ))
-    w.lines(d + 1, _PROJ_SKIP_LINES)
-    w.lines(d + 1, (
-        "if node is not None:",
-        "    close(node)",
-    ))
-    # -- end events
-    w.line(2, "elif kind == 1:")
-    w.lines(3, (
-        "tags_pop()",
-        "attrs_pop()",
-        "states_pop()",
-        "node = nodes_pop()",
-        "if node is not None:",
-        "    close(node)",
-    ))
-    w.lines(3, _PROJ_STATS_LINES)
-    # -- text events: baked per-state bodies, generic fall-through
-    w.line(2, "else:")
-    w.line(3, "state = states[-1]")
-    keyword = "if"
-    for state in baked_states:
-        entry = text_snapshot[state]
-        if entry is None:  # pragma: no cover - warm always fills it
-            continue
-        w.line(3, f"{keyword} state == {state}:")
-        keyword = "elif"
-        _emit_baked_text(w, 4, state, entry, consts)
-    w.lines(3, (
-        "entry = TM[state]",
-        "if entry is None:",
-        "    entry = compute_text(state)",
-        "counts, parent = entry",
-        "if counts is not None:",
-        "    top = len(states) - 1",
-        "    pnode = nodes[top]",
-        "    if pnode is None:",
-        "        pnode = materialize(top)",
-        "    node = new_text(pnode, event[3])",
-        "    add_roles(node, counts)",
-        "if parent != state:",
-        "    states[-1] = parent",
-    ))
-    w.lines(3, _PROJ_STATS_LINES)
-    w.line(2, "return True")
-    w.lines(0, (
-        "",
-        "    def run_to_end():",
-        "        while advance():",
-        "            pass",
-        "",
-        "    return advance, run_to_end",
-    ))
-
-    source = w.source()
-    namespace = dict(consts.namespace)
-    namespace["DFA"] = dfa
-    namespace["EM"] = dfa._element_memo
-    namespace["TM"] = dfa._text_memo
-    try:
-        module = _compile_namespace(source, "<gcx-projector-kernel>", namespace)
-    except SyntaxError as exc:  # pragma: no cover - generator bug guard
-        raise CodegenError(f"generated projector source invalid: {exc}") from exc
-    return ProjectorKernel(
-        factory=module["make_advance"],
-        source=source,
-        dfa=dfa,
-        baked_states=len(baked_states),
-        baked_transitions=baked_transitions,
-    )
-
-
 class GeneratedStreamProjector:
-    """Kernel A bound to one stream: the generated ``advance`` closure
+    """Kernel C bound to one stream: the generated ``advance`` closure
     over the same four-parallel-list stack as
     :class:`~repro.core.projector.CompiledStreamProjector` (whose
     observable behaviour it reproduces byte for byte)."""
 
     def __init__(
         self,
-        kernel: ProjectorKernel,
+        kernel: LexerKernel,
         lexer,
         dfa: PathDFA,
         buffer: Buffer,
@@ -641,10 +288,6 @@ class GeneratedStreamProjector:
         self.exhausted = False
         self.advance, self.run_to_end = kernel.factory(self)
 
-
-# ---------------------------------------------------------------------------
-# Kernel C: the generated fused lexer front-end
-# ---------------------------------------------------------------------------
 
 #: The certification probe tag: NUL can never start an XML name, so no
 #: document tag collides with it, and pushing it through the oracle NFA
@@ -686,9 +329,8 @@ def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple:
     returns ``(certified, fusible_states)``.
 
     The state closure is walked over the alphabet *including*
-    text-driven parent adjustments (unlike :func:`_warm_dfa` — a fused
-    run can sit in a state only reachable through a text event
-    exhausting a ``[1]`` step), and every reachable state is probed
+    text-driven parent adjustments (a fused run can sit in a state only
+    reachable through a text event exhausting a ``[1]`` step), and every reachable state is probed
     with :func:`_probe_fusible`.  ``certified=True`` means the probe
     passed in *every* closure state — an out-of-alphabet tag is dead
     everywhere, so the generated loop may bulk-skip it without
@@ -702,7 +344,8 @@ def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple:
     Raises:
         CodegenError: even the start state keeps unknown tags live
             (wildcard or descendant steps at the root): fusion could
-            never skip anything, so the plan declines to Kernel A.
+            never skip anything, so the plan keeps the table
+            projector.
     """
     if not _probe_fusible(dfa, dfa.start):
         raise CodegenError(
@@ -723,7 +366,7 @@ def _certify_live_alphabet(dfa: PathDFA, tags: list[str]) -> tuple:
             if candidate not in seen_set:
                 seen_set.add(candidate)
                 seen.append(candidate)
-        if len(seen) > 4 * MAX_BAKED_STATES:
+        if len(seen) > MAX_CERTIFIED_STATES:
             # pathological closure: fusion stays available, but the
             # certificate cannot be enumerated — dispatch generically
             return (False, 1)
@@ -735,7 +378,7 @@ def generate_lexer_kernel(dfa: PathDFA, analysis) -> LexerKernel:
     """Generate, compile and return Kernel C for one plan.
 
     The generated ``advance`` replaces the per-event ``next_event``
-    pull of the projector kernels with a queue refilled by
+    pull of the table projector with a queue refilled by
     ``project_into(queue, LIVE, batch)``: the lexer batch-tokenizes —
     through the C scanner when available — and stops right behind any
     start tag whose name is outside the plan's alphabet, which the
@@ -1235,14 +878,9 @@ def generate_plan_kernels(dfa, analysis, program) -> PlanKernels | None:
     a silent fallback to the table kernels — codegen is a pure
     optimisation tier, never a correctness risk.
     """
-    projector = None
     evaluator = None
     lexer = None
     if dfa is not None:
-        try:
-            projector = generate_projector_kernel(dfa, analysis)
-        except CodegenError:
-            projector = None
         try:
             lexer = generate_lexer_kernel(dfa, analysis)
         except CodegenError:
@@ -1252,6 +890,6 @@ def generate_plan_kernels(dfa, analysis, program) -> PlanKernels | None:
             evaluator = generate_evaluator_kernel(program)
         except CodegenError:
             evaluator = None
-    if projector is None and evaluator is None and lexer is None:
+    if evaluator is None and lexer is None:
         return None
-    return PlanKernels(projector=projector, evaluator=evaluator, lexer=lexer)
+    return PlanKernels(evaluator=evaluator, lexer=lexer)

@@ -50,54 +50,35 @@ Ablation switches:
   projection-only system buffers).
 * ``first_witness=False`` — existence tests buffer every witness
   instead of only the first (drops the ``[1]`` predicates).
-* ``compiled=False`` — run the interpreting NFA projector instead of
-  the compiled lazy-DFA kernel (DESIGN.md §9).  Observable behaviour
-  is byte-identical either way; the switch exists for differential
-  testing and for benchmarking the kernel against its oracle.
-* ``compiled_eval=False`` — run the interpreting
-  :class:`~repro.core.evaluator.PullEvaluator` instead of the compiled
-  operator-program VM (DESIGN.md §10).  Again byte-identical; again an
-  oracle switch.  ``gcx run --interpreted`` sets both to ``False``.
-* ``codegen=False`` — run the table-driven kernels instead of the
-  per-plan generated-code kernels (DESIGN.md §12).  Byte-identical; the
-  fallback ladder is codegen → tables → interpreter, and each level is
-  the differential oracle of the one above.  ``gcx run --no-codegen``
-  sets it; ``--interpreted`` bypasses codegen implicitly (generated
-  kernels specialize the *compiled* table kernels, so disabling those
-  disables codegen with them).
-* ``fused_lexer=False`` — keep the per-event lexer pull under the
-  generated projector instead of the fused batch front-end (Kernel C,
-  DESIGN.md §15).  Byte-identical; ``gcx run --no-fused-lexer`` sets
-  it.  Only consulted where ``compiled`` and ``codegen`` already
-  selected the generated tier, and only effective for bytes sources
-  (the str lexer has no batch projection surface).
+* ``tier=`` — which kernel tier runs the projector and the evaluator
+  (:mod:`repro.core.pipeline`, DESIGN.md §12): ``"generated"`` (the
+  default: the fused lexer front-end, Kernel C, under the generated
+  evaluator, Kernel B), ``"tables"`` (the lazy-DFA projector of
+  DESIGN.md §9 under the operator-program VM of §10) or
+  ``"interpreted"`` (the paper's NFA projector under the pull
+  evaluator).  Observable behaviour is byte-identical at every tier;
+  each lower tier is the differential oracle of the one above.
+  ``gcx run --tier`` sets it.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 from repro.core.analysis import analyze_query
 from repro.core.buffer import Buffer
-from repro.core.codegen import (
-    CodegenEvaluator,
-    GeneratedStreamProjector,
-    generate_plan_kernels,
-)
+from repro.core.codegen import generate_plan_kernels
 from repro.core.matcher import PathDFA, PathMatcher
 from repro.core.plan import CompiledQuery, PlanCache, QueryPlan
-from repro.core.program import (
-    CompiledEvaluator,
-    ProgramCompileError,
-    compile_program,
-)
-from repro.core.projector import CompiledStreamProjector, StreamProjector
-from repro.core.evaluator import PullEvaluator
+from repro.core.pipeline import DEFAULT_TIER, build_pipeline, check_tier
+from repro.core.program import ProgramCompileError, compile_program
 from repro.core.session import StreamSession
 from repro.core.signoff import insert_signoffs
 from repro.core.stats import BufferStats
-from repro.xmlio.lexer import make_lexer
+from repro.xmlio.errors import XmlSyntaxError
+from repro.xmlio.lexer_bytes import ByteXmlLexer
 from repro.xmlio.writer import XmlWriter
 from repro.xquery.normalize import normalize_query
 from repro.xquery.parser import parse_query
@@ -122,6 +103,70 @@ def _file_chunks(handle, chunk_size: int):
         if not chunk:
             return
         yield chunk
+
+
+class _EncodedSource:
+    """A document on its way into the bytes lexer (DESIGN.md §11):
+    ``str`` input — a whole document or ``str`` chunks — is encoded
+    once here, and :meth:`restate_offset` maps the byte offset of an
+    :class:`XmlSyntaxError` back to the character offset ``str``
+    callers are promised.
+
+    Only chunks whose encoding is wider than their text are recorded,
+    as ``(byte_start, wide_before, data)``: ``wide_before`` is the
+    bytes-over-characters surplus of all input ahead of the chunk.
+    Error offsets never precede the lexer's ``buffer_offset``, so
+    records behind it are dropped at each refill.
+    """
+
+    def __init__(self, source):
+        #: the lexer reading :attr:`data`, once built (prunes records)
+        self.lexer: ByteXmlLexer | None = None
+        self._records: deque = deque()
+        self._bytes = 0
+        self._wide = 0
+        self._str = False
+        if isinstance(source, (str, bytes, bytearray, memoryview)):
+            self.data = self._encode(source)
+        else:
+            self.data = self._chunks(source)
+
+    def _encode(self, chunk) -> bytes:
+        if not isinstance(chunk, str):
+            data = bytes(chunk)
+            self._bytes += len(data)
+            return data
+        self._str = True
+        data = chunk.encode("utf-8")
+        surplus = len(data) - len(chunk)
+        if surplus:
+            self._records.append((self._bytes, self._wide, data))
+            self._wide += surplus
+        self._bytes += len(data)
+        return data
+
+    def _chunks(self, chunks):
+        for chunk in chunks:
+            records = self._records
+            if records and self.lexer is not None:
+                floor = self.lexer.buffer_offset
+                while records and records[0][0] + len(records[0][2]) <= floor:
+                    records.popleft()
+            yield self._encode(chunk)
+
+    def restate_offset(self, error: XmlSyntaxError) -> None:
+        """Rewrite *error*'s byte offset as a character offset when the
+        input was ``str`` (bytes input keeps its byte offset)."""
+        offset = error.offset
+        if not self._str or offset is None:
+            return
+        wide = self._records[0][1] if self._records else self._wide
+        for start, before, data in reversed(self._records):
+            if start <= offset:
+                head = data[: offset - start]
+                wide = before + len(head) - len(head.decode("utf-8", "ignore"))
+                break
+        error.__init__(error.message, offset - wide)
 
 
 def _try_compile_program(rewritten):
@@ -159,32 +204,17 @@ class GCXEngine:
         record_series: bool = True,
         drain: bool = True,
         plan_cache: PlanCache | None = None,
-        compiled: bool = True,
-        compiled_eval: bool = True,
-        codegen: bool = True,
-        fused_lexer: bool = True,
+        tier: str = DEFAULT_TIER,
     ):
         self.gc_enabled = gc_enabled
         self.first_witness = first_witness
         self.record_series = record_series
         self.drain = drain
-        #: drive streams through the compiled lazy-DFA kernel; False
-        #: falls back to the interpreting NFA projector (the oracle).
-        self.compiled = compiled
-        #: evaluate through the compiled operator-program VM; False
-        #: falls back to the interpreting PullEvaluator (the oracle).
-        self.compiled_eval = compiled_eval
-        #: use the per-plan generated-code kernels where the plan has
-        #: them; False falls back to the table-driven kernels (the
-        #: oracles).  Only consulted where ``compiled`` resp.
-        #: ``compiled_eval`` already selected the compiled tier.
-        self.codegen = codegen
-        #: feed the projector from the generated fused lexer front-end
-        #: (Kernel C) where the plan has one and the lexer supports
-        #: batch projection; False falls back to the per-event pull.
-        #: Only consulted where ``compiled`` and ``codegen`` already
-        #: selected the generated tier.
-        self.fused_lexer = fused_lexer
+        #: kernel tier of every run and session (see
+        #: :mod:`repro.core.pipeline`): "generated", "tables" or
+        #: "interpreted" — byte-identical, each the oracle of the one
+        #: above.
+        self.tier = check_tier(tier)
         #: LRU of compiled plans; pass a shared :class:`PlanCache` to
         #: let several engines reuse each other's compilations.
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
@@ -269,9 +299,11 @@ class GCXEngine:
             compiled: result of :meth:`compile`.
             xml_source: the document — a complete ``str`` or UTF-8
                 ``bytes``, a file-like object with ``read()`` (read
-                incrementally in *chunk_size* pieces; binary handles
-                take the bytes-domain lexer), or an iterable of chunks
-                (consumed lazily; the raw input is never joined).
+                incrementally in *chunk_size* pieces), or an iterable
+                of chunks (consumed lazily; the raw input is never
+                joined).  ``str`` input is encoded once here; the
+                bytes-domain lexer scans every source, and a syntax
+                error in ``str`` input reports a character offset.
             output_stream: optional sink with ``write()``.  When given,
                 results are emitted incrementally as evaluation
                 progresses and ``RunResult.output`` is empty.
@@ -279,59 +311,26 @@ class GCXEngine:
         """
         if hasattr(xml_source, "read"):
             xml_source = _file_chunks(xml_source, chunk_size)
+        source = _EncodedSource(xml_source)
         stats = BufferStats(record_series=self.record_series)
         buffer = Buffer(stats)
-        lexer = make_lexer(xml_source)
+        lexer = source.lexer = ByteXmlLexer(source.data)
+        writer = XmlWriter(stream=output_stream)
         # The plan's matcher/dfa are immutable resp. logically immutable
         # (per-stream match state lives on the projector's stack), so
         # concurrent runs share them.
-        kernels = compiled.kernels if self.codegen else None
-        if self.compiled and compiled.dfa is not None:
-            if (
-                kernels is not None
-                and self.fused_lexer
-                and kernels.lexer is not None
-                and hasattr(lexer, "project_into")
-            ):
-                # deepest tier (bytes sources only: make_lexer returns
-                # the str lexer for str input, which has no batch
-                # projection surface)
-                projector = GeneratedStreamProjector(
-                    kernels.lexer, lexer, compiled.dfa, buffer, stats
-                )
-            elif kernels is not None and kernels.projector is not None:
-                projector = GeneratedStreamProjector(
-                    kernels.projector, lexer, compiled.dfa, buffer, stats
-                )
-            else:
-                projector = CompiledStreamProjector(
-                    lexer, compiled.dfa, buffer, stats
-                )
-        else:
-            projector = StreamProjector(lexer, compiled.matcher, buffer, stats)
-        writer = XmlWriter(stream=output_stream)
-        if self.compiled_eval and compiled.program is not None:
-            if kernels is not None and kernels.evaluator is not None:
-                evaluator = CodegenEvaluator(
-                    kernels.evaluator,
-                    compiled.program,
-                    projector,
-                    buffer,
-                    writer,
-                    self.gc_enabled,
-                )
-            else:
-                evaluator = CompiledEvaluator(
-                    compiled.program, projector, buffer, writer, self.gc_enabled
-                )
-        else:
-            evaluator = PullEvaluator(
-                compiled.rewritten, projector, buffer, writer, self.gc_enabled
-            )
+        projector, evaluator = build_pipeline(
+            compiled, lexer, buffer, writer,
+            tier=self.tier, gc_enabled=self.gc_enabled,
+        )
         started = time.perf_counter()
-        evaluator.run()
-        if self.drain:
-            projector.run_to_end()
+        try:
+            evaluator.run()
+            if self.drain:
+                projector.run_to_end()
+        except XmlSyntaxError as exc:
+            source.restate_offset(exc)
+            raise
         stats.elapsed = time.perf_counter() - started
         stats.final_buffered = buffer.live_count
         buffer.clear()
@@ -386,10 +385,7 @@ class GCXEngine:
             output_stream=output_stream,
             on_output=on_output,
             max_pending_output=max_pending_output,
-            compiled=self.compiled,
-            compiled_eval=self.compiled_eval,
-            codegen=self.codegen,
-            fused_lexer=self.fused_lexer,
+            tier=self.tier,
             binary_output=binary_output,
             checkpointable=checkpointable,
             **kwargs,
@@ -455,8 +451,7 @@ class GCXEngine:
             gc_enabled=self.gc_enabled,
             record_series=self.record_series,
             drain=self.drain,
-            compiled_eval=self.compiled_eval,
-            codegen=self.codegen,
+            tier=self.tier,
             **kwargs,
         )
 

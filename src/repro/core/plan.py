@@ -70,7 +70,8 @@ class QueryPlan:
     #: interpreting :class:`~repro.core.evaluator.PullEvaluator`.
     program: OperatorProgram | None = None
     #: per-plan generated-code kernels (DESIGN.md §12): specialized
-    #: Python for the projector/evaluator hot loops, exec-compiled once
+    #: Python for the fused lexer front-end (Kernel C) and the
+    #: evaluator (Kernel B), exec-compiled once
     #: at plan-compile time inside the cache's single-flight.  ``None``
     #: when generation declined (or for hand-built plans); runs then
     #: use the table-driven kernels — the fallback is silent and
@@ -354,7 +355,6 @@ class PlanCache:
             plans = {id(plan): plan for plan, _canonical in self._plans.values()}
         snapshot = {
             "plans": 0,
-            "projector_kernels": 0,
             "evaluator_kernels": 0,
             "lexer_kernels": 0,
             "source_chars": 0,
@@ -366,11 +366,8 @@ class PlanCache:
                 snapshot["fallbacks"] += 1
                 continue
             snapshot["plans"] += 1
-            snapshot["projector_kernels"] += kernels.projector is not None
             snapshot["evaluator_kernels"] += kernels.evaluator is not None
-            snapshot["lexer_kernels"] += (
-                getattr(kernels, "lexer", None) is not None
-            )
+            snapshot["lexer_kernels"] += kernels.lexer is not None
             snapshot["source_chars"] += kernels.source_chars
         return snapshot
 

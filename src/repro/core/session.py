@@ -66,11 +66,8 @@ import time
 from collections import deque
 
 from repro.core.buffer import Buffer
-from repro.core.codegen import CodegenEvaluator, GeneratedStreamProjector
-from repro.core.evaluator import PullEvaluator
+from repro.core.pipeline import DEFAULT_TIER, build_pipeline, check_tier
 from repro.core.plan import QueryPlan
-from repro.core.program import CompiledEvaluator
-from repro.core.projector import CompiledStreamProjector, StreamProjector
 from repro.core.snapshot import (
     decode_session,
     encode_session,
@@ -380,30 +377,22 @@ class StreamSession:
         on_output=None,
         max_pending_output: int | None = None,
         max_pending_chunks: int = DEFAULT_MAX_PENDING_CHUNKS,
-        compiled: bool = True,
-        compiled_eval: bool = True,
-        codegen: bool = True,
-        fused_lexer: bool = True,
+        tier: str = DEFAULT_TIER,
         binary_output: bool = False,
         checkpointable: bool = False,
     ):
+        check_tier(tier)
         if checkpointable:
-            if not (compiled and plan.dfa is not None):
+            if tier == "interpreted" or plan.dfa is None or plan.program is None:
                 raise SessionStateError(
-                    "checkpointable sessions require the compiled "
-                    "projector tier (plan.dfa)"
-                )
-            if not (compiled_eval and plan.program is not None):
-                raise SessionStateError(
-                    "checkpointable sessions require the compiled "
-                    "evaluator tier (plan.program)"
+                    "checkpointable sessions require the compiled projector "
+                    "and evaluator tiers (plan.dfa and plan.program)"
                 )
             # The generated kernels keep their dispatch state in
             # exec-compiled locals that cannot be captured mid-loop;
             # pin the table-driven tier, whose state is all on the
             # instance (DESIGN.md §16).
-            codegen = False
-            fused_lexer = False
+            tier = "tables"
         self.plan = plan
         self._checkpointable = checkpointable
         self._gc_enabled = gc_enabled
@@ -423,55 +412,16 @@ class StreamSession:
         # as raw UTF-8 and the bytes-domain lexer scans them directly
         # (text decoded lazily; skipped subtrees never decoded).
         self._lexer = ByteXmlLexer(refill=self._pull_chunk)
-        # The plan's matcher/dfa are shared by all sessions: per-stream
-        # match state lives on the projector's stack, and the dfa's
+        self._writer = XmlWriter(stream=self._output)
+        # The plan's matcher/dfa/program are shared by all sessions:
+        # per-stream match state lives on the projector's stack, all
+        # per-run evaluation state on the evaluator, and the dfa's
         # transition memo only ever gains deterministic entries — one
         # session discovering a tag makes it a dict lookup for all.
-        kernels = plan.kernels if codegen else None
-        if compiled and plan.dfa is not None:
-            if (
-                kernels is not None
-                and fused_lexer
-                and kernels.lexer is not None
-            ):
-                # deepest tier: the fused lexer front-end batch-feeds
-                # the generated dispatch, bulk-skipping dead subtrees
-                # before they are ever tokenized
-                self._projector = GeneratedStreamProjector(
-                    kernels.lexer, self._lexer, plan.dfa,
-                    self._buffer, self._stats,
-                )
-            elif kernels is not None and kernels.projector is not None:
-                self._projector = GeneratedStreamProjector(
-                    kernels.projector, self._lexer, plan.dfa,
-                    self._buffer, self._stats,
-                )
-            else:
-                self._projector = CompiledStreamProjector(
-                    self._lexer, plan.dfa, self._buffer, self._stats
-                )
-        else:
-            self._projector = StreamProjector(
-                self._lexer, plan.matcher, self._buffer, self._stats
-            )
-        self._writer = XmlWriter(stream=self._output)
-        # The plan's operator program is immutable and shared too; all
-        # per-run state (slots, loop frames) lives on the evaluator.
-        if compiled_eval and plan.program is not None:
-            if kernels is not None and kernels.evaluator is not None:
-                self._evaluator = CodegenEvaluator(
-                    kernels.evaluator, plan.program, self._projector,
-                    self._buffer, self._writer, gc_enabled,
-                )
-            else:
-                self._evaluator = CompiledEvaluator(
-                    plan.program, self._projector, self._buffer, self._writer,
-                    gc_enabled,
-                )
-        else:
-            self._evaluator = PullEvaluator(
-                plan.rewritten, self._projector, self._buffer, self._writer, gc_enabled
-            )
+        self._projector, self._evaluator = build_pipeline(
+            plan, self._lexer, self._buffer, self._writer,
+            tier=tier, gc_enabled=gc_enabled,
+        )
         self._error: BaseException | None = None
         self._result = None
         self._bytes_fed = 0
@@ -766,13 +716,10 @@ class StreamSession:
         self._stats = BufferStats(record_series=snap.stats["record_series"])
         self._buffer = Buffer(self._stats)
         self._lexer = ByteXmlLexer(refill=self._pull_chunk)
-        self._projector = CompiledStreamProjector(
-            self._lexer, plan.dfa, self._buffer, self._stats
-        )
         self._writer = XmlWriter(stream=self._output)
-        self._evaluator = CompiledEvaluator(
-            plan.program, self._projector, self._buffer, self._writer,
-            snap.gc_enabled,
+        self._projector, self._evaluator = build_pipeline(
+            plan, self._lexer, self._buffer, self._writer,
+            tier="tables", gc_enabled=snap.gc_enabled,
         )
         stats = self._stats
         st = snap.stats

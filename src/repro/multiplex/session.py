@@ -19,8 +19,10 @@ N sessions over the same document each lex and project N times.
   (:class:`_EventReplay`) that serves the broadcast events through the
   ``next_event()`` / ``skip_subtree()`` surface the compiled
   projectors already consume, and an unmodified per-plan pipeline —
-  DFA/codegen projector, VM/codegen evaluator, buffer, stats, output
-  channel — running on its own worker thread.
+  table-driven DFA projector, generated or VM evaluator, buffer,
+  stats, output channel, all from
+  :func:`~repro.core.pipeline.build_pipeline` — running on its own
+  worker thread.
 
 Because a subscriber's projector sees the same significant-event
 sequence its own lexer would have produced — driver-level skips
@@ -58,11 +60,8 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.core.buffer import Buffer
-from repro.core.codegen import CodegenEvaluator, GeneratedStreamProjector
-from repro.core.evaluator import PullEvaluator
+from repro.core.pipeline import DEFAULT_TIER, build_pipeline, check_tier
 from repro.core.plan import QueryPlan
-from repro.core.program import CompiledEvaluator
-from repro.core.projector import CompiledStreamProjector
 from repro.core.session import (
     DEFAULT_MAX_PENDING_CHUNKS,
     SessionStateError,
@@ -207,8 +206,7 @@ class StreamSubscriber:
         gc_enabled: bool = True,
         record_series: bool = True,
         drain: bool = True,
-        compiled_eval: bool = True,
-        codegen: bool = True,
+        tier: str = DEFAULT_TIER,
         output_stream=None,
         on_output=None,
         max_pending_output: int | None = None,
@@ -232,35 +230,15 @@ class StreamSubscriber:
         )
         self._stats = BufferStats(record_series=record_series)
         self._buffer = Buffer(self._stats)
-        # The per-plan pipeline is the stock single-plan machinery —
-        # only the lexer seat is taken by the replay facade.
-        kernels = plan.kernels if codegen else None
-        if kernels is not None and kernels.projector is not None:
-            self._projector = GeneratedStreamProjector(
-                kernels.projector, self._replay, plan.dfa,
-                self._buffer, self._stats,
-            )
-        else:
-            self._projector = CompiledStreamProjector(
-                self._replay, plan.dfa, self._buffer, self._stats
-            )
         self._writer = XmlWriter(stream=self._output)
-        if compiled_eval and plan.program is not None:
-            if kernels is not None and kernels.evaluator is not None:
-                self._evaluator = CodegenEvaluator(
-                    kernels.evaluator, plan.program, self._projector,
-                    self._buffer, self._writer, gc_enabled,
-                )
-            else:
-                self._evaluator = CompiledEvaluator(
-                    plan.program, self._projector, self._buffer,
-                    self._writer, gc_enabled,
-                )
-        else:
-            self._evaluator = PullEvaluator(
-                plan.rewritten, self._projector, self._buffer,
-                self._writer, gc_enabled,
-            )
+        # The per-plan pipeline is the stock single-plan machinery —
+        # only the lexer seat is taken by the replay facade, which has
+        # no batch surface: the generated tier runs the table projector
+        # under Kernel B here.
+        self._projector, self._evaluator = build_pipeline(
+            plan, self._replay, self._buffer, self._writer,
+            tier=tier, gc_enabled=gc_enabled,
+        )
         self._error: BaseException | None = None
         self._result = None
         self._started = time.perf_counter()
@@ -379,8 +357,7 @@ class SharedStreamSession:
         gc_enabled: bool = True,
         record_series: bool = True,
         drain: bool = True,
-        compiled_eval: bool = True,
-        codegen: bool = True,
+        tier: str = DEFAULT_TIER,
         max_pending_chunks: int = DEFAULT_MAX_PENDING_CHUNKS,
         max_pending_batches: int = DEFAULT_MAX_PENDING_BATCHES,
         batch_events: int = DEFAULT_BATCH_EVENTS,
@@ -389,8 +366,7 @@ class SharedStreamSession:
             "gc_enabled": gc_enabled,
             "record_series": record_series,
             "drain": drain,
-            "compiled_eval": compiled_eval,
-            "codegen": codegen,
+            "tier": check_tier(tier),
             "max_pending_batches": max_pending_batches,
         }
         self._batch_events = max(1, batch_events)

@@ -117,6 +117,20 @@ _intern = sys.intern
 _BYTES_LIKE = (bytes, bytearray, memoryview)
 
 
+def _resolve_text_entities(raw: str, offset: int) -> str:
+    """:func:`~repro.xmlio.lexer.resolve_entities_text` for character
+    data starting at byte *offset*: a bad reference is reported at the
+    byte offset of its ``&`` (the shared resolver counts characters
+    into *raw*, which only coincides with bytes for ASCII text)."""
+    try:
+        return resolve_entities_text(raw, offset)
+    except XmlSyntaxError as exc:
+        head = raw[: exc.offset - offset]
+        raise XmlSyntaxError(
+            exc.message, offset + len(head.encode("utf-8"))
+        ) from None
+
+
 class ByteXmlLexer:
     """Pull-based tokenizer over incremental **bytes** input.
 
@@ -213,6 +227,15 @@ class ByteXmlLexer:
     def closed(self) -> bool:
         """True once end of input has been signalled."""
         return self._closed
+
+    @property
+    def buffer_offset(self) -> int:
+        """Absolute byte offset of the oldest input still buffered.
+
+        Consumed input is compacted away at refills, so no error this
+        lexer raises from now on reports an offset before this one.
+        """
+        return self._base
 
     def feed(self, chunk: bytes) -> "ByteXmlLexer":
         """Append *chunk* to the pending input (push mode)."""
@@ -439,7 +462,7 @@ class ByteXmlLexer:
         end_events = self._end_events
         start_match = _START_TAG_RE_B.match
         non_ws_search = _NON_WS_RE_B.search
-        resolve = resolve_entities_text
+        resolve = _resolve_text_entities
         tags = self._open_tags
         c_tokens = _CSCAN.tokens if _CSCAN is not None else None
         while count < limit:
@@ -833,7 +856,7 @@ class ByteXmlLexer:
         if amp != -1:
             # Entities are validated even though the resolved text is
             # discarded.
-            raw = resolve_entities_text(raw, self._base + pos)
+            raw = _resolve_text_entities(raw, self._base + pos)
         return True if self._keep_whitespace else bool(raw.strip())
 
     def _validate_skipped_attrs(self, match: re.Match, start: int, end: int) -> None:
@@ -908,7 +931,7 @@ class ByteXmlLexer:
                         "character data outside the root element", offset
                     )
                 if "&" in raw:
-                    raw = resolve_entities_text(raw, offset)
+                    raw = _resolve_text_entities(raw, offset)
                 if not keep_ws and not raw.strip():
                     # runs of *Unicode* whitespace (or entities that
                     # resolve to whitespace) are dropped here, exactly
@@ -1277,7 +1300,7 @@ class ByteXmlLexer:
         offset = self._base + start
         if not self._open_tags and raw.strip():
             raise XmlSyntaxError("character data outside the root element", offset)
-        return Text(resolve_entities_text(raw, offset), offset)
+        return Text(_resolve_text_entities(raw, offset), offset)
 
     def _scan_cdata_span(self) -> tuple[int, int]:
         """Consume one CDATA section; returns the ``(start, end)`` byte

@@ -12,6 +12,7 @@ raise a distinct, typed error before any engine state is touched.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -239,17 +240,27 @@ class TestFreezeThaw:
         session.abort()
 
     def test_checkpointable_requires_compiled_tiers(self, doc):
-        # the interpreted projector/evaluator tiers carry closures the
-        # codec cannot represent; asking for a checkpointable session
-        # on them must fail fast at open time
-        for engine in (GCXEngine(compiled=False), GCXEngine(compiled_eval=False)):
+        # the interpreted projector/evaluator carry closures the codec
+        # cannot represent; asking for a checkpointable session on them
+        # must fail fast at open time — the whole interpreted tier, and
+        # the mixed pipelines of plans without a DFA (NFA projector
+        # under Kernel B) or without a program (fused projector under
+        # the pull evaluator)
+        with pytest.raises(SessionStateError):
+            GCXEngine(tier="interpreted").session(QUERY, checkpointable=True)
+        engine = GCXEngine()
+        plan = engine.compile(QUERY)
+        for stripped in (
+            dataclasses.replace(plan, dfa=None),
+            dataclasses.replace(plan, program=None),
+        ):
             with pytest.raises(SessionStateError):
-                engine.session(QUERY, checkpointable=True)
+                engine.session(stripped, checkpointable=True)
 
     def test_checkpointable_pins_table_tier(self, gcx, doc, reference):
-        # codegen/fused-lexer engines silently drop to the table tier
-        # for checkpointable sessions — results must not change
-        engine = GCXEngine(codegen=True, fused_lexer=True)
+        # generated-tier engines silently drop to the table tier for
+        # checkpointable sessions — results must not change
+        engine = GCXEngine(tier="generated")
         session = engine.session(QUERY, checkpointable=True)
         session.feed(doc)
         assert session.finish().output == reference.output

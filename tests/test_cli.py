@@ -42,29 +42,35 @@ class TestRun:
         assert gcx_out == dom_out
 
     def test_run_interpreted_oracle_same_output(self, workload, capsys):
-        """--interpreted selects compiled=False, compiled_eval=False:
-        the interpreting oracles, byte-identical to the kernels."""
+        """--tier interpreted selects the interpreting oracles,
+        byte-identical to the kernels; so does --tier tables."""
         query, xml = workload
         assert main(["run", query, xml]) == 0
         compiled_out = capsys.readouterr().out
-        assert main(["run", query, xml, "--interpreted"]) == 0
+        assert main(["run", query, xml, "--tier", "interpreted"]) == 0
         interpreted_out = capsys.readouterr().out
         assert compiled_out == interpreted_out
+        assert main(["run", query, xml, "--tier", "tables"]) == 0
+        assert capsys.readouterr().out == compiled_out
         assert compiled_out.startswith("<r>")
 
     def test_run_interpreted_builds_oracle_engines(self):
-        """The flag must reach the engine constructor on the whole
+        """The tier must reach the engine constructor on the whole
         GCX family (and be ignored by the DOM baseline)."""
         from repro.cli import _make_engine
 
         for engine_name in ("gcx", "projection", "flux"):
-            engine = _make_engine(engine_name, interpreted=True)
-            assert engine.compiled is False
-            assert engine.compiled_eval is False
-            engine = _make_engine(engine_name, interpreted=False)
-            assert engine.compiled is True
-            assert engine.compiled_eval is True
-        assert _make_engine("dom", interpreted=True) is not None
+            engine = _make_engine(engine_name, tier="interpreted")
+            assert engine.tier == "interpreted"
+            engine = _make_engine(engine_name)
+            assert engine.tier == "generated"
+        assert _make_engine("dom", tier="interpreted") is not None
+
+    def test_unknown_tier_is_rejected(self, workload, capsys):
+        query, xml = workload
+        with pytest.raises(SystemExit):
+            main(["run", query, xml, "--tier", "codegen"])
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_missing_file_reports_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.xq"), str(tmp_path / "n.xml")]) == 1
@@ -176,6 +182,14 @@ class TestMultiplex:
         expected = capsys.readouterr().out
         assert main(["multiplex", xml, "-q", names]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_multiplex_tier_flag(self, multi_workload, capsys):
+        xml, names, _ = multi_workload
+        assert main(["multiplex", xml, "-q", names]) == 0
+        expected = capsys.readouterr().out
+        for tier in ("tables", "interpreted"):
+            assert main(["multiplex", xml, "-q", names, "--tier", tier]) == 0
+            assert capsys.readouterr().out == expected
 
     def test_multiplex_stats_reports_stream_summary(
         self, multi_workload, capsys

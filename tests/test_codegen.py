@@ -6,8 +6,8 @@ VM) stay in the tree as byte-identical oracles, and everything here is
 differential against them — same output, same per-token series, same
 watermark, same role/GC counters, at every byte chunking, in both
 pull-run and push-session modes.  The fallback ladder
-codegen → tables → interpreter is exercised explicitly: plans without
-kernels, engines with ``codegen=False``, and op streams the
+generated → tables → interpreted is exercised explicitly: plans without
+kernels, engines with ``tier="tables"``, and op streams the
 decompiler rejects must all run (and agree) through the lower tiers.
 """
 
@@ -27,7 +27,6 @@ from repro.core.codegen import (
     generate_evaluator_kernel,
     generate_lexer_kernel,
     generate_plan_kernels,
-    generate_projector_kernel,
 )
 from repro.core.engine import GCXEngine
 from repro.core.matcher import PathDFA, PathMatcher
@@ -83,16 +82,14 @@ class TestKernelGeneration:
         for adapted in ADAPTED_QUERIES.values():
             plan = engine.compile(adapted.text)
             assert plan.kernels is not None, adapted.key
-            assert plan.kernels.projector is not None, adapted.key
             assert plan.kernels.evaluator is not None, adapted.key
-            # every adapted XMark plan also admits the fused lexer
+            # every adapted XMark plan admits the fused lexer
             # front-end (Kernel C): a named tag alphabet with a
             # fusible root state
             assert plan.kernels.lexer is not None, adapted.key
-            assert plan.kernels.kernel_count == 3
+            assert plan.kernels.kernel_count == 2
             assert plan.kernels.source_chars == (
-                len(plan.kernels.projector.source)
-                + len(plan.kernels.evaluator.source)
+                len(plan.kernels.evaluator.source)
                 + len(plan.kernels.lexer.source)
             )
 
@@ -105,10 +102,6 @@ class TestKernelGeneration:
                 generated += plan.kernels.kernel_count
         # the pool is the compiled fragment; codegen must cover it
         assert generated >= 2 * len(QUERIES) - 2
-
-    def test_projector_kernel_requires_dfa(self):
-        with pytest.raises(CodegenError):
-            generate_projector_kernel(None, None)
 
     def test_evaluator_kernel_requires_program(self):
         with pytest.raises(CodegenError):
@@ -130,7 +123,7 @@ class TestKernelGeneration:
 
     def test_generated_source_is_python(self):
         plan = GCXEngine().compile(ADAPTED_QUERIES["q1"].text)
-        compile(plan.kernels.projector.source, "<proj>", "exec")
+        compile(plan.kernels.lexer.source, "<lexer>", "exec")
         compile(plan.kernels.evaluator.source, "<eval>", "exec")
 
     def test_kernel_rejects_foreign_dfa(self):
@@ -142,7 +135,7 @@ class TestKernelGeneration:
 
         with pytest.raises(CodegenError):
             GeneratedStreamProjector(
-                p1.kernels.projector, make_lexer(b"<site/>"), p2.dfa, Buffer()
+                p1.kernels.lexer, make_lexer(b"<site/>"), p2.dfa, Buffer()
             )
 
     def test_kernel_rejects_foreign_program(self):
@@ -189,7 +182,7 @@ class TestLexerKernel:
     def test_descendant_at_root_declines(self):
         """When unknown tags stay live in the start state the fused
         scan could never skip anything — generation declines and the
-        plan keeps the per-event Kernel A front-end."""
+        plan keeps the table projector."""
         dfa = PathDFA(
             PathMatcher([("r1", parse_path("/descendant-or-self::node()/b"))])
         )
@@ -201,8 +194,8 @@ class TestLexerKernel:
             generate_lexer_kernel(None, None)
 
     def test_fused_tier_falls_back_without_lexer_kernel(self):
-        """Stripping only the lexer kernel drops the plan to the
-        per-event generated tier with identical results."""
+        """Stripping only the lexer kernel drops the plan's projector
+        to the table kernel (under Kernel B) with identical results."""
         engine = GCXEngine()
         plan = engine.compile(ADAPTED_QUERIES["q1"].text)
         no_lexer = dataclasses.replace(
@@ -216,18 +209,6 @@ class TestLexerKernel:
             engine.run(plan, data)
         )
 
-    def test_no_fused_lexer_engine_toggle(self):
-        """``fused_lexer=False`` disables the tier engine-wide; the
-        output is unchanged."""
-        plain = GCXEngine(fused_lexer=False)
-        fused = GCXEngine()
-        data = (
-            b"<site><people><person id='p0'><name>n0</name></person>"
-            b"</people><junk>skipped</junk></site>"
-        )
-        a = _fingerprint(plain.run(plain.compile(ADAPTED_QUERIES["q1"].text), data))
-        b = _fingerprint(fused.run(fused.compile(ADAPTED_QUERIES["q1"].text), data))
-        assert a == b
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +220,8 @@ class TestDifferentialPull:
     @pytest.mark.parametrize("seed", range(6))
     def test_query_pool_byte_identical(self, seed):
         xml = random_document(random.Random(seed * 31 + 5))
-        fast = GCXEngine(codegen=True)
-        oracle = GCXEngine(codegen=False)
+        fast = GCXEngine(tier="generated")
+        oracle = GCXEngine(tier="tables")
         for query in QUERIES:
             a = _fingerprint(fast.query(query, xml))
             b = _fingerprint(oracle.query(query, xml))
@@ -248,8 +229,8 @@ class TestDifferentialPull:
 
     def test_xmark_queries_byte_identical(self, xmark_small):
         data = xmark_small.encode()
-        fast = GCXEngine(codegen=True)
-        oracle = GCXEngine(codegen=False)
+        fast = GCXEngine(tier="generated")
+        oracle = GCXEngine(tier="tables")
         for adapted in ADAPTED_QUERIES.values():
             a = _fingerprint(fast.query(adapted.text, data))
             b = _fingerprint(oracle.query(adapted.text, data))
@@ -264,16 +245,16 @@ class TestDifferentialPull:
             "<r><z1><z2><b>hit</b></z2></z1><q7/>"
             "<b><deep><b>nested</b></deep></b></r>"
         )
-        a = _fingerprint(GCXEngine(codegen=True).query(query, xml))
-        b = _fingerprint(GCXEngine(codegen=False).query(query, xml))
+        a = _fingerprint(GCXEngine(tier="generated").query(query, xml))
+        b = _fingerprint(GCXEngine(tier="tables").query(query, xml))
         assert a == b
 
     def test_memo_growth_keeps_generated_code_valid(self):
         """One plan, two documents with disjoint tag alphabets: the
         second run sees a memo grown by the first, and both agree with
         the oracle throughout."""
-        engine = GCXEngine(codegen=True)
-        oracle = GCXEngine(codegen=False)
+        engine = GCXEngine(tier="generated")
+        oracle = GCXEngine(tier="tables")
         plan = engine.compile("for $x in /r/a return $x/b")
         oplan = oracle.compile("for $x in /r/a return $x/b")
         for xml in (
@@ -286,13 +267,13 @@ class TestDifferentialPull:
             assert a == b
 
     def test_interpreted_engine_bypasses_codegen(self):
-        engine = GCXEngine(compiled=False, compiled_eval=False, codegen=True)
+        engine = GCXEngine(tier="interpreted")
         xml = "<r><a><b>x</b></a></r>"
         result = engine.query("for $x in /r/a return $x/b", xml)
         assert result.output == "<b>x</b>"
 
     def test_plan_without_kernels_falls_back(self):
-        engine = GCXEngine(codegen=True)
+        engine = GCXEngine(tier="generated")
         plan = engine.compile("for $x in /r/a return $x")
         stripped = dataclasses.replace(plan, kernels=None)
         xml = "<r><a>1</a><b/></r>"
@@ -303,7 +284,7 @@ class TestDifferentialPull:
     def test_partial_kernels_mix_tiers(self):
         """A plan with only one generated kernel runs that side
         generated and the other through the table kernel."""
-        engine = GCXEngine(codegen=True)
+        engine = GCXEngine(tier="generated")
         plan = engine.compile("for $x in /r/a return $x")
         only_proj = dataclasses.replace(
             plan,
@@ -311,7 +292,7 @@ class TestDifferentialPull:
         )
         only_eval = dataclasses.replace(
             plan,
-            kernels=dataclasses.replace(plan.kernels, projector=None),
+            kernels=dataclasses.replace(plan.kernels, lexer=None),
         )
         xml = "<r><a>1</a><c/><a>2</a></r>"
         want = _fingerprint(engine.run(plan, xml))
@@ -330,8 +311,8 @@ class TestDifferentialSession:
             for _ in range(rng.randint(0, 6))
         )
         chunks = _chunk(data, offsets)
-        fast = GCXEngine(codegen=True)
-        oracle = GCXEngine(codegen=False)
+        fast = GCXEngine(tier="generated")
+        oracle = GCXEngine(tier="tables")
         for query in QUERIES[::3]:
             a = _fingerprint(_run_session(fast, fast.compile(query), chunks))
             b = _fingerprint(_run_session(oracle, oracle.compile(query), chunks))
@@ -359,8 +340,8 @@ def test_codegen_byte_identical_at_every_chunking(seed, query, data):
     )
     chunks = _chunk(raw, offsets)
     pull_mode = data.draw(st.booleans(), label="pull_mode")
-    fast = GCXEngine(codegen=True)
-    oracle = GCXEngine(codegen=False)
+    fast = GCXEngine(tier="generated")
+    oracle = GCXEngine(tier="tables")
     if pull_mode:
         a = _fingerprint(fast.run(fast.compile(query), iter(chunks)))
         b = _fingerprint(oracle.run(oracle.compile(query), iter(chunks)))
@@ -382,7 +363,7 @@ class TestCodegenStats:
         engine.compile(ADAPTED_QUERIES["q6"].text)
         snap = engine.plan_cache.codegen_stats()
         assert snap["plans"] == 2
-        assert snap["projector_kernels"] == 2
+        assert "projector_kernels" not in snap
         assert snap["evaluator_kernels"] == 2
         assert snap["lexer_kernels"] == 2
         assert snap["source_chars"] > 0
@@ -404,7 +385,7 @@ class TestCodegenStats:
         snap = ServerMetrics().snapshot(
             codegen=engine.plan_cache.codegen_stats()
         )
-        assert snap["codegen"]["projector_kernels"] == 1
+        assert snap["codegen"]["lexer_kernels"] == 1
         assert snap["codegen"]["source_chars"] > 0
 
 
@@ -431,4 +412,37 @@ def test_exec_compile_confined_to_codegen_module():
     assert not offenders, (
         "exec()/compile() must only appear in repro/core/codegen.py: "
         + ", ".join(offenders)
+    )
+
+
+def test_pipeline_classes_constructed_only_by_the_factory():
+    """Tier selection lives in one place: no module under ``src/``
+    other than ``repro/core/pipeline.py`` constructs a projector or an
+    evaluator class (the twin of the exec/compile confinement above)."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    classes = (
+        "StreamProjector",
+        "CompiledStreamProjector",
+        "GeneratedStreamProjector",
+        "PullEvaluator",
+        "CompiledEvaluator",
+        "CodegenEvaluator",
+    )
+    construction = re.compile(
+        r"(?<![\w.])(?:\w+\.)?(?:" + "|".join(classes) + r")\("
+    )
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "pipeline.py" and path.parent.name == "core":
+            continue
+        text = path.read_text(encoding="utf-8")
+        for lineno, line in enumerate(text.splitlines(), 1):
+            code = line.split("#", 1)[0]
+            if code.lstrip().startswith("class "):
+                continue  # a definition or subclass, not a construction
+            if construction.search(code):
+                offenders.append(f"{path.relative_to(src)}:{lineno}")
+    assert not offenders, (
+        "projectors and evaluators must only be constructed by "
+        "repro/core/pipeline.py: " + ", ".join(offenders)
     )

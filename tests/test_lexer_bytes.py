@@ -19,12 +19,15 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import GCXEngine
+from repro.core.buffer import Buffer
+from repro.core.engine import GCXEngine, RunResult
+from repro.core.pipeline import build_pipeline
 from repro.server.client import GCXClient, ServerError
 from repro.server.service import ServerThread
 from repro.xmlio.errors import XmlStarvedError, XmlSyntaxError
 from repro.xmlio.lexer import XmlLexer, make_lexer, tokenize
 from repro.xmlio.lexer_bytes import ByteXmlLexer
+from repro.xmlio.writer import XmlWriter
 
 # Every construct the scanner knows, with multi-byte characters in
 # every position that decodes: tag names, attribute names and values,
@@ -370,6 +373,9 @@ class TestEndToEndBytes:
         str_result = engine.run(plan, TRICKY)
         byte_result = engine.run(plan, TRICKY.encode("utf-8"))
         assert byte_result.output == str_result.output == expected.output
+        oracle = str_lexer_run(plan, TRICKY, tier="generated")
+        assert byte_result.output == oracle.output
+        assert byte_result.stats.series == oracle.stats.series
         assert byte_result.stats.series == str_result.stats.series
         assert byte_result.stats.watermark == str_result.stats.watermark
 
@@ -529,11 +535,11 @@ class TestHypothesisDifferential:
     @given(doc=documents(), cuts=st.lists(st.integers(min_value=0), max_size=5))
     @settings(max_examples=60, deadline=None)
     def test_session_output_identical_to_pull_run(self, doc, cuts):
-        """End to end: bytes-fed sessions ≡ str pull runs at any
+        """End to end: bytes-fed sessions ≡ str-lexer pull runs at any
         byte-level chunking (output, watermark, series)."""
         engine = GCXEngine()
         plan = engine.compile("<out>{ for $b in /a/b return $b }</out>")
-        baseline = engine.run(plan, doc)
+        baseline = str_lexer_run(plan, doc, tier="generated")
         session = engine.session(plan)
         for chunk in byte_chunks(doc.encode("utf-8"), cuts):
             session.feed(chunk)
@@ -557,7 +563,24 @@ _PLAN_QUERIES = (
 )
 
 _FUSED_ENGINE = GCXEngine()
-_TABLE_ENGINE = GCXEngine(codegen=False)
+_TABLE_ENGINE = GCXEngine(tier="tables")
+
+
+def str_lexer_run(plan, source, tier="tables"):
+    """Run *plan* over the str lexer — the oracle.  ``GCXEngine.run``
+    encodes str input for the bytes lexer, so the oracle pipeline is
+    built explicitly over :class:`XmlLexer` (whose missing batch
+    surface keeps the generated tier on the table projector)."""
+    lexer = make_lexer(source)
+    assert isinstance(lexer, XmlLexer)
+    buffer = Buffer()
+    writer = XmlWriter()
+    projector, evaluator = build_pipeline(
+        plan, lexer, buffer, writer, tier=tier, gc_enabled=True
+    )
+    evaluator.run()
+    projector.run_to_end()
+    return RunResult(writer.getvalue(), buffer.stats, plan)
 
 
 def _result_fingerprint(result):
@@ -600,7 +623,7 @@ class TestFusedKernelDifferential:
         fused_plan = _FUSED_ENGINE.compile(query)
         table_plan = _TABLE_ENGINE.compile(query)
         chunks = byte_chunks(doc.encode("utf-8"), cuts)
-        oracle = _result_fingerprint(_TABLE_ENGINE.run(table_plan, doc))
+        oracle = _result_fingerprint(str_lexer_run(table_plan, doc))
         fused = _result_fingerprint(_FUSED_ENGINE.run(fused_plan, iter(chunks)))
         table = _result_fingerprint(_TABLE_ENGINE.run(table_plan, iter(chunks)))
         assert fused == table == oracle
@@ -625,7 +648,9 @@ class TestFusedKernelDifferential:
         names, dead subtrees — must match the whole-buffer run."""
         plan = _FUSED_ENGINE.compile(_PLAN_QUERIES[0])
         data = TRICKY.encode("utf-8")
-        expected = _result_fingerprint(_FUSED_ENGINE.run(plan, TRICKY))
+        expected = _result_fingerprint(
+            str_lexer_run(plan, TRICKY, tier="generated")
+        )
         for offset in range(len(data) + 1):
             result = _FUSED_ENGINE.run(
                 plan, iter([data[:offset], data[offset:]])
@@ -646,7 +671,7 @@ class TestFusedKernelDifferential:
 
             def str_run(offset=offset):
                 chunks = iter([doc[:offset], doc[offset:]])
-                return _FUSED_ENGINE.run(plan, chunks).output
+                return str_lexer_run(plan, chunks, tier="generated").output
 
             def fused_run(offset=offset):
                 session = _FUSED_ENGINE.session(plan)

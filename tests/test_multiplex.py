@@ -162,7 +162,7 @@ class TestByteIdentity:
             assert_identical(result, solo[0])
 
     def test_table_kernels_fallback_is_identical(self, doc, solo):
-        engine = GCXEngine(codegen=False)
+        engine = GCXEngine(tier="tables")
         for result, oracle in zip(engine.multiplex(QUERIES, doc), solo):
             assert_identical(result, oracle)
 

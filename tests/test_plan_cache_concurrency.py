@@ -415,8 +415,8 @@ class TestCodegenArtifactLifecycle:
         engine = GCXEngine(plan_cache=PlanCache(capacity=1))
         plan_a = engine.compile(self.QUERY_A)
         assert plan_a.kernels is not None
-        # projector + evaluator + fused lexer front-end (DESIGN.md §15)
-        assert plan_a.kernels.kernel_count == 3
+        # evaluator + fused lexer front-end (DESIGN.md §15)
+        assert plan_a.kernels.kernel_count == 2
         assert len(calls) == 1
         chars_a = plan_a.kernels.source_chars
 
@@ -452,16 +452,16 @@ class TestCodegenArtifactLifecycle:
 
     def test_32_sessions_install_audit_with_codegen(self):
         """The memo-install audit of ISSUE 3, re-run with the generated
-        projector kernel driving the shared DFA: 32 concurrent sessions
+        fused projector kernel driving the shared DFA: 32 concurrent sessions
         over one plan, every output equal to a fresh engine's, and the
         shared memo still a deterministic machine afterwards."""
-        engine = GCXEngine(codegen=True)
+        engine = GCXEngine(tier="generated")
         query = TestDfaSharingUnderConcurrency.QUERY
         document = TestDfaSharingUnderConcurrency._document
 
         def run_session(index: int):
             plan = engine.compile(query)
-            assert plan.kernels is not None and plan.kernels.projector is not None
+            assert plan.kernels is not None and plan.kernels.lexer is not None
             session = engine.session(plan)
             doc = document(index % 8)
             for start in range(0, len(doc), 41):
@@ -474,7 +474,7 @@ class TestCodegenArtifactLifecycle:
         assert len({id(plan) for plan, _o, _w in results}) == 1
         plan = results[0][0]
 
-        reference = GCXEngine(codegen=False)  # table oracle
+        reference = GCXEngine(tier="tables")  # table oracle
         for index in range(8):
             expected = reference.query(query, document(index))
             for thread_index in range(index, 32, 8):
@@ -483,4 +483,4 @@ class TestCodegenArtifactLifecycle:
                 assert watermark == expected.stats.watermark
 
         _audit_dfa(plan.dfa)
-        assert engine.plan_cache.codegen_stats()["projector_kernels"] == 1
+        assert engine.plan_cache.codegen_stats()["lexer_kernels"] == 1

@@ -25,14 +25,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.engine import GCXEngine
-from repro.core.evaluator import EvaluationError
+from repro.core.buffer import Buffer
+from repro.core.codegen import GeneratedStreamProjector
+from repro.core.engine import GCXEngine, RunResult
+from repro.core.evaluator import EvaluationError, PullEvaluator
 from repro.core.program import (
     OP_NAMES,
     ProgramCompileError,
     compile_program,
 )
+from repro.core.projector import CompiledStreamProjector, StreamProjector
 from repro.xmark.queries import ADAPTED_QUERIES
+from repro.xmlio.lexer import make_lexer
+from repro.xmlio.writer import XmlWriter
 from repro.xpath.ast import Axis, NodeTest, Path, Step
 from repro.xquery import ast as q
 from repro.xquery.parser import parse_query
@@ -59,19 +64,44 @@ EXTRA_QUERIES = [
 ALL_QUERIES = QUERIES + EXTRA_QUERIES
 
 
+def _pull_oracle(plan, source, gc_enabled=True, nfa=False):
+    """The interpreting pull evaluator behind a compiled projector —
+    the plan's fused kernel over a bytes source, the table kernel over
+    the str lexer — or, with *nfa*, behind the interpreting NFA
+    projector.  No kernel tier pairs these layers, so the oracle is
+    built from the component classes."""
+    lexer = make_lexer(source)
+    buffer = Buffer()
+    writer = XmlWriter()
+    if nfa:
+        projector = StreamProjector(lexer, plan.matcher, buffer)
+    elif hasattr(lexer, "project_into") and (
+        plan.kernels is not None and plan.kernels.lexer is not None
+    ):
+        projector = GeneratedStreamProjector(
+            plan.kernels.lexer, lexer, plan.dfa, buffer
+        )
+    else:
+        projector = CompiledStreamProjector(lexer, plan.dfa, buffer)
+    PullEvaluator(plan.rewritten, projector, buffer, writer, gc_enabled).run()
+    projector.run_to_end()
+    buffer.stats.final_buffered = buffer.live_count
+    return RunResult(writer.getvalue(), buffer.stats, plan)
+
+
 def _run_pair(query, xml, chunks=None):
     """One plan compiled twice, run through VM and oracle."""
     vm_engine = GCXEngine()
-    oracle_engine = GCXEngine(compiled_eval=False)
+    oracle_plan = GCXEngine().compile(query)
     vm_plan = vm_engine.compile(query)
     assert vm_plan.program is not None, f"no program for {query!r}"
     if chunks is None:
         vm = vm_engine.run(vm_plan, xml)
-        oracle = oracle_engine.run(oracle_engine.compile(query), xml)
+        oracle = _pull_oracle(oracle_plan, xml)
     else:
         vm = _run_session(vm_engine, vm_plan, chunks)
-        oracle = _run_session(
-            oracle_engine, oracle_engine.compile(query), chunks
+        oracle = _pull_oracle(
+            oracle_plan, iter([chunk.encode("utf-8") for chunk in chunks])
         )
     return vm, oracle
 
@@ -316,10 +346,9 @@ def test_vm_matches_oracle_on_xmark_chunked(key, xmark_small):
 def test_gc_toggle_matches_oracle():
     xml = random_document(random.Random(42))
     for query in ALL_QUERIES[:8]:
-        vm = GCXEngine(gc_enabled=False).query(query, xml)
-        oracle = GCXEngine(gc_enabled=False, compiled_eval=False).query(
-            query, xml
-        )
+        engine = GCXEngine(gc_enabled=False)
+        vm = engine.query(query, xml)
+        oracle = _pull_oracle(engine.compile(query), xml, gc_enabled=False)
         _assert_identical(vm, oracle, query)
 
 
@@ -354,6 +383,5 @@ def test_vm_chunked_equals_oracle_whole_string(query, doc_seed, cuts):
     engine = GCXEngine()
     plan = engine.compile(query)
     vm = _run_session(engine, plan, _partition(xml, cuts))
-    oracle_engine = GCXEngine(compiled_eval=False, compiled=False)
-    oracle = oracle_engine.run(oracle_engine.compile(query), xml)
+    oracle = _pull_oracle(plan, xml, nfa=True)
     _assert_identical(vm, oracle, f"query={query!r} xml={xml!r}")
