@@ -529,9 +529,10 @@ def test_evaluator_interp_throughput(benchmark, document):
     projector over the str lexer feeds the AST-walking PullEvaluator —
     the fixed oracle baseline the operator-program VM is gated
     against.  XMark Q8 (the value join) is the evaluator-bound
-    workload: its nested loops and comparisons over the buffer are
-    pure evaluation work, so the evaluator pair measures the
-    evaluation kernel, not the projector."""
+    workload, and the oracle runs its join as the nested loop: one
+    comparison per person × closed auction over the buffer.  The pair
+    therefore measures the evaluation kernel — dispatch *and* join
+    strategy — not the projector."""
     plan = GCXEngine().compile(ADAPTED_QUERIES["q8"].text)
 
     def run():
@@ -555,7 +556,9 @@ def test_evaluator_vm_throughput(benchmark, document):
     """Evaluator isolation, compiled side: the same table projector
     over the same str lexer feeds the operator-program VM, so the
     difference to ``evaluator_interp`` is purely the evaluation
-    kernel."""
+    kernel: the VM's slot/frame dispatch plus its hash join, which
+    builds Q8's closed-auction index once and probes it per person
+    (DESIGN.md §10, "Value joins") where the oracle re-scans."""
     plan = GCXEngine().compile(ADAPTED_QUERIES["q8"].text)
     assert plan.program is not None
     oracle = GCXEngine(record_series=False, tier="interpreted")

@@ -8,7 +8,12 @@ the machinery it exists to replace:
   interpreting-oracle baseline ``engine_q1_pull``;
 * ``evaluator_vm`` (operator-program VM) vs ``evaluator_interp`` (the
   AST-walking pull evaluator behind the same DFA projector) — the
-  evaluation side in isolation;
+  evaluation side in isolation, on XMark Q8.  The floor is 2.5, not
+  1.0: the VM hash-joins Q8's value join (DESIGN.md §10, "Value
+  joins") where the oracle runs the nested loop, which puts the pair
+  at 4.6–6.9x over four runs on a 2-CPU container; dispatch alone measured
+  ~1.5–1.8x there.  A VM that silently loses the join falls back to
+  that dispatch-only ratio, below the floor;
 * ``lexer_bytes`` (the bytes-domain scanner, DESIGN.md §11) vs
   ``lexer_events`` (the str event fast path it replaces on the wire
   path) — the tokenizer in isolation;
@@ -95,7 +100,7 @@ DEFAULT_PATH = os.path.join(
 #: floors are documented in the module docstring.
 GATED_PAIRS = (
     ("engine_q1_compiled", "engine_q1_pull", 1.0),
-    ("evaluator_vm", "evaluator_interp", 1.0),
+    ("evaluator_vm", "evaluator_interp", 2.5),
     ("lexer_bytes", "lexer_events", 1.0),
     ("lexer_bytes_fused", "lexer_bytes", 0.85),
     ("engine_q1_codegen", "engine_q1_compiled_bytes", 0.85),

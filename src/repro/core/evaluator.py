@@ -542,3 +542,22 @@ def _compare(op: str, left, right) -> bool:
     if op == ">=":
         return lnum >= rnum
     raise EvaluationError(f"unknown comparison operator {op!r}")
+
+
+def equality_key(value):
+    """The hash key under which ``_compare("=", a, b)`` is key equality.
+
+    ``_compare`` compares numerically when both values parse as floats
+    and as strings otherwise.  A string that parses and one that does
+    not are never equal as strings either, so one dict can hold both
+    key kinds: the float for a parseable value (``"7"``, ``" 7"``,
+    ``"7.0"`` and ``"7e0"`` share one key) and the string itself for
+    the rest.  NaN never compares equal, so it gets no key (``None``).
+    """
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        return str(value)
+    if number != number:
+        return None
+    return number

@@ -92,12 +92,17 @@ class QueryPlan:
     def describe(self) -> str:
         """Role table plus the rewritten query — the textual analogue
         of the demo's static-analysis visualisation (Figure 3(a))."""
-        return (
+        text = (
             "roles:\n"
             + self.analysis.describe_roles()
             + "\n\nrewritten query:\n"
             + pretty_print(self.rewritten)
         )
+        joins = self.program.hash_joins() if self.program is not None else []
+        if joins:
+            # the evaluator decision a reader cannot see in the query
+            text += "\n\n" + "\n".join(f"hash join: {join}" for join in joins)
+        return text
 
 
 #: Backwards-compatible name: the pre-refactor engine called its

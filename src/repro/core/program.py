@@ -48,6 +48,7 @@ from repro.core.evaluator import (
     _compare,
     _split_attribute,
     compute_aggregate,
+    equality_key,
     format_number,
 )
 from repro.xmlio.errors import FreezeSignal
@@ -97,6 +98,11 @@ OP_NAMES = {
 ITER_CHILD = 0  # (kind, ctx, pred, position)
 ITER_DESC = 1  # (kind, ctx, pred, position, include_self)
 ITER_SELF = 2  # (kind, ctx, pred)
+#: a child scan whose whole body is ``if (inner = probe) then …``:
+#: (kind, ctx, pred, None, inner, probe, probe_first, inner_text,
+#: probe_text) — inner/probe are V_PATH operand specs, the inner one
+#: rooted at the loop variable (DESIGN.md §10, "Value joins")
+ITER_JOIN = 3
 
 # condition-spec kinds
 C_TRUE = 0  # (kind,)
@@ -176,9 +182,24 @@ class OperatorProgram:
         lines = []
         for pc, op in enumerate(self.ops):
             name = OP_NAMES.get(op[0], f"op{op[0]}")
-            args = " ".join(_describe_arg(a) for a in op[1:])
+            if op[0] == OP_FOR_INIT and op[1][0] == ITER_JOIN:
+                spec = op[1]
+                args = (
+                    f"JoinScan(ctx={spec[1]!r} inner={spec[7]} "
+                    f"probe={spec[8]})"
+                )
+            else:
+                args = " ".join(_describe_arg(a) for a in op[1:])
             lines.append(f"{pc:3d}  {name} {args}".rstrip())
         return "\n".join(lines)
+
+    def hash_joins(self) -> list[str]:
+        """``inner = probe`` of every loop compiled to a hash join."""
+        return [
+            f"{op[1][7]} = {op[1][8]}"
+            for op in self.ops
+            if op[0] == OP_FOR_INIT and op[1][0] == ITER_JOIN
+        ]
 
 
 def _describe_arg(arg) -> str:
@@ -400,6 +421,10 @@ class _Compiler:
             return
         slot = self._new_slot()
         self._nodes[expr.var] = slot
+        if iter_spec[0] == ITER_CHILD and step.position is None:
+            keys = self._join_keys(expr.body, slot)
+            if keys is not None:
+                iter_spec = (ITER_JOIN, ctx, pred, None) + keys
         self._emit((OP_FOR_INIT, iter_spec))
         head = self._label()
         next_pc = self._emit((OP_FOR_NEXT, slot, -1))
@@ -409,6 +434,30 @@ class _Compiler:
         # mirror the interpreter's env.pop: the name is gone, whatever
         # it shadowed stays gone too
         self._nodes.pop(expr.var, None)
+
+    def _join_keys(self, body: q.Expr, slot: int):
+        """``(inner, probe, probe_first, inner_text, probe_text)`` when
+        the loop body is ``if (A = B) then …`` without else, with one
+        operand a path from the loop variable (*slot*) and the other a
+        path from a node variable bound outside the loop; else None.
+
+        The ``if`` stays in the program and re-checks every node the
+        join yields, so the join frame only narrows the scan
+        (DESIGN.md §10, "Value joins")."""
+        if not (isinstance(body, q.IfExpr) and isinstance(body.orelse, q.Empty)):
+            return None
+        cond = body.condition
+        if not (isinstance(cond, q.Comparison) and cond.op == "="):
+            return None
+        left = self._operand_spec(cond.left)
+        right = self._operand_spec(cond.right)
+        if left[0] != V_PATH or right[0] != V_PATH:
+            return None
+        if left[1] == slot and right[1] not in (None, slot):
+            return (left, right, False, str(cond.left), str(cond.right))
+        if right[1] == slot and left[1] not in (None, slot):
+            return (right, left, True, str(cond.right), str(cond.left))
+        return None
 
     def _compile_let(self, expr: q.LetExpr) -> None:
         if isinstance(expr.value, q.Aggregate):
@@ -520,6 +569,33 @@ def _descendants(node: BufferNode):
             stack.extend(reversed(child.children))
 
 
+class _JoinIndex:
+    """The inner side of one hash-joined loop over one context node:
+    equality key → the children holding it, in ``seq`` order.
+
+    Built by the loop's first (scan) pass; a later pass probes it while
+    ``context`` is the same node and ``buffer.stats.roles_removed`` has
+    not moved since the build.  The context is closed by then, so only
+    a role removal can purge or shrink one of its children; an
+    unchanged counter means the children and their keys are exactly
+    what the scan saw.
+    """
+
+    __slots__ = ("context", "removed", "table", "children", "valued", "pending")
+
+    def __init__(self, context: BufferNode, removed: int):
+        self.context = context
+        self.removed = removed
+        self.table: dict = {}
+        #: children recorded (closed and alive when recorded)
+        self.children = 0
+        #: whether any recorded child has inner-key values at all (NaN
+        #: included): the nested loop evaluates the probe operand then
+        self.valued = False
+        #: the child yielded last, recorded once the scan moved past it
+        self.pending: BufferNode | None = None
+
+
 class CompiledEvaluator:
     """Executes one operator program over one projected stream.
 
@@ -551,6 +627,8 @@ class CompiledEvaluator:
         # alias inside run() needs no write-back; the pc does.
         self._frames: list = []
         self._pc = 0
+        #: completed hash-join indexes, one per ITER_JOIN spec (by id)
+        self._join_indexes: dict[int, _JoinIndex] = {}
 
     # ------------------------------------------------------------------
     # blocking primitives (the buffer-manager protocol)
@@ -669,7 +747,10 @@ class CompiledEvaluator:
                 if op[0] == OP_FOR_INIT and op[1] is spec
             )
             kind = spec[0]
-            if kind == ITER_CHILD:
+            if kind == ITER_CHILD or kind == ITER_JOIN:
+                # a join frame travels as the child scan it extends and
+                # resumes as one, without its index: the scan re-checks
+                # the ``if`` on every child, so the result is exact
                 frames.append(
                     {
                         "init_pc": init_pc,
@@ -697,7 +778,7 @@ class CompiledEvaluator:
                         "started": frame[5],
                     }
                 )
-            else:  # ITER_SELF
+            elif kind == ITER_SELF:
                 frames.append(
                     {
                         "init_pc": init_pc,
@@ -706,6 +787,8 @@ class CompiledEvaluator:
                         "done": frame[2],
                     }
                 )
+            else:
+                raise ValueError(f"cannot snapshot a loop frame of kind {kind}")
         return {"pc": self._pc, "slots": list(self._slots), "frames": frames}
 
     def restore_state(self, state: dict, resolve) -> None:
@@ -744,17 +827,18 @@ class CompiledEvaluator:
             spec = ops[init_pc][1]
             kind = entry["kind"]
             if kind == "child":
-                if spec[0] != ITER_CHILD:
+                if spec[0] not in (ITER_CHILD, ITER_JOIN):
                     raise ValueError("frame kind mismatch for child iterator")
-                frames.append(
-                    [
-                        spec,
-                        _node(entry["context"]),
-                        entry["last_seq"],
-                        entry["matched"],
-                        entry["done"],
-                    ]
-                )
+                frame = [
+                    spec,
+                    _node(entry["context"]),
+                    entry["last_seq"],
+                    entry["matched"],
+                    entry["done"],
+                ]
+                if spec[0] == ITER_JOIN:
+                    frame += [None, None, None]  # scan mode, no build
+                frames.append(frame)
             elif kind == "desc":
                 if spec[0] != ITER_DESC:
                     raise ValueError("frame kind mismatch for desc iterator")
@@ -775,11 +859,14 @@ class CompiledEvaluator:
                         entry["started"],
                     ]
                 )
-            else:
+            elif kind == "self":
                 if spec[0] != ITER_SELF:
                     raise ValueError("frame kind mismatch for self iterator")
                 frames.append([spec, _node(entry["context"]), entry["done"]])
+            else:
+                raise ValueError(f"unknown loop frame kind {kind!r}")
         self._frames = frames
+        self._join_indexes = {}
 
     # ------------------------------------------------------------------
     # for-loop frames
@@ -790,6 +877,22 @@ class CompiledEvaluator:
         if kind == ITER_CHILD:
             # [spec, context, last_seq, matched, done]
             return [spec, self._ctx(spec[1]), 0, 0, False]
+        if kind == ITER_JOIN:
+            # the child frame plus [build, index, hits]: a scan pass
+            # fills *build*; a probe pass walks *hits* out of *index*
+            context = self._ctx(spec[1])
+            removed = self._buffer.stats.roles_removed
+            index = self._join_indexes.get(id(spec))
+            if (
+                index is not None
+                and index.context is context
+                and index.removed == removed
+            ):
+                return [spec, context, 0, 0, False, None, index, None]
+            return [
+                spec, context, 0, 0, False, _JoinIndex(context, removed),
+                None, None,
+            ]
         if kind == ITER_DESC:
             # [spec, stack, matched, done, pending_push, started]
             return [spec, None, 0, False, None, False]
@@ -800,6 +903,8 @@ class CompiledEvaluator:
         kind = frame[0][0]
         if kind == ITER_CHILD:
             return self._next_child_binding(frame)
+        if kind == ITER_JOIN:
+            return self._next_join_binding(frame)
         if kind == ITER_DESC:
             return self._next_descendant_binding(frame)
         # ITER_SELF
@@ -827,6 +932,74 @@ class CompiledEvaluator:
             if frame[3] == position:
                 frame[4] = True
                 return child
+
+    def _next_join_binding(self, frame) -> BufferNode | None:
+        index = frame[6]
+        if index is not None:
+            if index.removed == self._buffer.stats.roles_removed:
+                hits = frame[7]
+                if hits is None:
+                    # may pull (and freeze) before anything is committed
+                    hits = frame[7] = iter(self._join_hits(frame[0], index))
+                for node in hits:
+                    if not node.purged:
+                        frame[2] = node.seq
+                        return node
+                return None
+            # the loop body removed roles: finish this pass as the
+            # nested loop, from the last child yielded
+            frame[6] = None
+        build = frame[5]
+        child = self._next_child_binding(frame)
+        if build is None:
+            return child
+        # the scan has pulled past the previous child, which is closed
+        # now unless the stream ended early: record its keys
+        pending = build.pending
+        if pending is not None and pending.closed and not pending.purged:
+            self._join_record(frame[0], build, pending)
+        build.pending = child
+        if child is None:
+            frame[5] = None
+            # complete once the context is closed; a role removal during
+            # the scan leaves build.removed stale, so it never matches
+            context = frame[1]
+            if context.closed and not context.purged:
+                self._join_indexes[id(frame[0])] = build
+        return child
+
+    def _join_record(self, spec, build: _JoinIndex, child: BufferNode) -> None:
+        inner = spec[4]
+        values = self._path_values(child, inner[2], inner[3])
+        build.children += 1
+        if not values:
+            return
+        build.valued = True
+        table = build.table
+        for key in {equality_key(value) for value in values}:
+            if key is not None:
+                table.setdefault(key, []).append(child)
+
+    def _join_hits(self, spec, index: _JoinIndex):
+        """The children whose keys meet the probe operand's, in ``seq``
+        order.  The probe operand is evaluated exactly when the nested
+        loop would evaluate it — at its first child (probe written
+        first) or at its first child with inner values — so the stream
+        is pulled identically."""
+        if not (index.children if spec[6] else index.valued):
+            return ()
+        table = index.table
+        found = [
+            table[key]
+            for key in {equality_key(value) for value in self._values(spec[5])}
+            if key in table
+        ]
+        if not found:
+            return ()
+        if len(found) == 1:
+            return found[0]
+        unique = {id(node): node for nodes in found for node in nodes}
+        return sorted(unique.values(), key=lambda node: node.seq)
 
     def _next_descendant_binding(self, frame) -> BufferNode | None:
         if frame[3]:  # positional match already yielded
@@ -946,15 +1119,7 @@ class CompiledEvaluator:
         if kind == V_PATH:
             context = self._ctx(spec[1])
             self._ensure_closed(context)
-            nodes = self._nodeset(context, spec[2])
-            attribute = spec[3]
-            if attribute is None:
-                return [node.string_value() for node in nodes]
-            return [
-                node.attributes[attribute]
-                for node in nodes
-                if node.tag is not None and attribute in node.attributes
-            ]
+            return self._path_values(context, spec[2], spec[3])
         if kind == V_LIT:
             return [spec[1]]
         if kind == V_SCALAR:
@@ -963,25 +1128,27 @@ class CompiledEvaluator:
             return [self._aggregate(spec[1])]
         raise EvaluationError(spec[1])  # V_RAISE
 
+    def _path_values(self, context: BufferNode, steps, attribute) -> list:
+        nodes = self._nodeset(context, steps)
+        if attribute is None:
+            return [node.string_value() for node in nodes]
+        return [
+            node.attributes[attribute]
+            for node in nodes
+            if node.tag is not None and attribute in node.attributes
+        ]
+
     def _aggregate(self, spec):
         func = spec[0]
         if func is None:
             raise EvaluationError(spec[1])
         context = self._ctx(spec[1])
         self._ensure_closed(context)
-        nodes = self._nodeset(context, spec[2])
-        attribute = spec[3]
-        if attribute is not None:
-            values = [
-                node.attributes[attribute]
-                for node in nodes
-                if node.tag is not None and attribute in node.attributes
-            ]
-        elif func == "count":
-            return len(nodes)
-        else:
-            values = [node.string_value() for node in nodes]
-        return compute_aggregate(func, values)
+        if func == "count" and spec[3] is None:
+            return len(self._nodeset(context, spec[2]))
+        return compute_aggregate(
+            func, self._path_values(context, spec[2], spec[3])
+        )
 
     # ------------------------------------------------------------------
     # buffer-local path evaluation

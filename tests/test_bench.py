@@ -93,7 +93,7 @@ class TestThroughputGate:
     PASSING = dict(
         engine_q1_compiled=10.0,
         engine_q1_pull=4.0,
-        evaluator_vm=12.0,
+        evaluator_vm=24.0,
         evaluator_interp=9.0,
         lexer_bytes=15.0,
         lexer_bytes_fused=14.0,
@@ -213,6 +213,16 @@ class TestThroughputGate:
         gate = self._gate()
         path = self._write(
             tmp_path, self._entries(**{**self.PASSING, "evaluator_vm": 8.0})
+        )
+        with pytest.raises(SystemExit, match="evaluator_vm"):
+            gate.check(path)
+
+    def test_evaluator_pair_gates_at_the_join_floor(self, tmp_path):
+        """The VM must keep its hash join: a dispatch-only win (2x,
+        the nested loop on the VM) fails the 2.5x evaluator floor."""
+        gate = self._gate()
+        path = self._write(
+            tmp_path, self._entries(**{**self.PASSING, "evaluator_vm": 18.0})
         )
         with pytest.raises(SystemExit, match="evaluator_vm"):
             gate.check(path)

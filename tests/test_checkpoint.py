@@ -21,6 +21,12 @@ import tempfile
 import pytest
 
 from repro.core.engine import GCXEngine
+from repro.core.program import (
+    ITER_JOIN,
+    OP_FOR_INIT,
+    CompiledEvaluator,
+    OperatorProgram,
+)
 from repro.core.session import SessionStateError, StreamSession
 from repro.core.snapshot import (
     FORMAT_VERSION,
@@ -160,6 +166,60 @@ class TestSnapshotLifecycle:
         _feed_range(restored, data, len(data) // 2, len(data))
         result = restored.finish()
         assert early.decode() + result.output == reference.output
+
+
+class TestJoinCheckpoint:
+    """Q8's inner loop is a hash join (DESIGN.md §10): its frame is
+    snapshotted as the child scan it extends and restored without its
+    index, so it resumes as the nested loop — exact wherever it froze."""
+
+    CHUNK = 384
+
+    @staticmethod
+    def _in_build_pass(session) -> bool:
+        return any(
+            frame[0][0] == ITER_JOIN and frame[5] is not None
+            for frame in session._evaluator._frames
+        )
+
+    def test_q8_restores_at_every_chunk_boundary(self, gcx, doc):
+        reference = gcx.run(gcx.compile(OTHER_QUERY), doc)
+        data = doc.encode()
+        session = gcx.session(OTHER_QUERY, checkpointable=True)
+        checkpoints = []
+        for start in range(0, len(data), self.CHUNK):
+            stop = min(start + self.CHUNK, len(data))
+            session.feed(data[start:stop])
+            session.freeze()
+            checkpoints.append((stop, session.snapshot(), self._in_build_pass(session)))
+            session.thaw()
+        result = session.finish()
+        assert result.output == reference.output
+        assert any(building for _stop, _blob, building in checkpoints)
+
+        for offset, blob, _building in checkpoints:
+            restored = GCXEngine().restore_session(blob)
+            assert restored.bytes_fed == offset
+            _feed_range(restored, data, offset, len(data), self.CHUNK)
+            result = restored.finish()
+            assert result.output == reference.output, offset
+            assert result.stats.watermark == reference.stats.watermark, offset
+            assert result.stats.series == reference.stats.series, offset
+
+    def test_unknown_frame_kinds_are_refused(self):
+        spec = (99, None, None)
+        program = OperatorProgram(((OP_FOR_INIT, spec),), 0)
+        evaluator = CompiledEvaluator(program, None, None, None)
+        evaluator._frames = [[spec, None, False]]
+        with pytest.raises(ValueError, match="kind 99"):
+            evaluator.snapshot_state()
+        state = {
+            "pc": 0,
+            "slots": [],
+            "frames": [{"init_pc": 0, "kind": "odd"}],
+        }
+        with pytest.raises(ValueError, match="unknown loop frame kind"):
+            evaluator.restore_state(state, lambda ref: None)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.datasets.bib import BIB_QUERY, figure3c_document
+from repro.xmark.queries import ADAPTED_QUERIES
 from repro.xmlio.errors import XmlStarvedError
 
 
@@ -218,6 +219,15 @@ class TestExplain:
         assert "r1: /" in out
         assert "/bib/*/price[1]" in out
         assert "signOff" in out
+        assert "hash join" not in out
+
+    def test_explain_names_each_hash_join(self, tmp_path, capsys):
+        query = tmp_path / "q8.xq"
+        query.write_text(ADAPTED_QUERIES["q8"].text, encoding="utf-8")
+        assert main(["explain", str(query)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        joins = [line for line in lines if line.startswith("hash join:")]
+        assert joins == ["hash join: $t/buyer/@person = $p/@id"]
 
 
 class TestProfile:
